@@ -236,7 +236,13 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     * ops/sec >= ``BATCHED_SPEEDUP_FLOOR`` x the sequential baseline;
     * charged rounds **bit-identical** to the scalar batched path.
 
-    All three figures come from the same process on the same streams
+    The ``cached`` subsection repeats the kernel-vs-kernel-off comparison
+    with a ``CACHE_BLOCKS`` buffer pool on both machines: charged rounds
+    and pool hits must be bit-identical there too, and the cached over
+    uncached kernel throughput is reported (not gated) against the
+    ROADMAP target of cached batched within 1.2x of uncached batched.
+
+    All figures come from the same process on the same streams
     (best-of-``TIMING_REPEATS`` wall clock), so the speedup ratio survives
     noisy shared runners where absolute ops/sec does not.  The section is
     merged into ``BENCH_throughput.json`` (read-modify-write, so running
@@ -248,22 +254,32 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
 
     machine_scalar, d_scalar, keys = _build(kernel="off")
     machine_vec, d_vec, _ = _build()  # the process-default kernel
+    cmachine_scalar, cd_scalar, _ = _build(
+        cache_blocks=CACHE_BLOCKS, kernel="off"
+    )
+    cmachine_vec, cd_vec, _ = _build(cache_blocks=CACHE_BLOCKS)
 
     streams = _streams(keys, 1.1)
-    _replay_batched(d_scalar, streams[0])  # warm memos + structures
-    _replay_batched(d_vec, streams[0])
+    for d in (d_scalar, d_vec, cd_scalar, cd_vec):
+        _replay_batched(d, streams[0])  # warm memos, structures, pools
     measured = streams[1:]
     flat = [k for st in measured for k in st]
 
+    def _charged(machine, d):
+        """Rounds and pool hits of one pass over the measured streams."""
+        cache = machine.cache
+        before = machine.stats.total_ios
+        hits = cache.stats.hits if cache is not None else 0
+        for st in measured:
+            _replay_batched(d, st)
+        after_hits = cache.stats.hits if cache is not None else 0
+        return machine.stats.total_ios - before, after_hits - hits
+
     # Charged cost first, before timing reruns touch the machines again.
-    before = machine_scalar.stats.total_ios
-    for st in measured:
-        _replay_batched(d_scalar, st)
-    scalar_rounds = machine_scalar.stats.total_ios - before
-    before = machine_vec.stats.total_ios
-    for st in measured:
-        _replay_batched(d_vec, st)
-    vec_rounds = machine_vec.stats.total_ios - before
+    scalar_rounds, _ = _charged(machine_scalar, d_scalar)
+    vec_rounds, _ = _charged(machine_vec, d_vec)
+    cscalar_rounds, cscalar_hits = _charged(cmachine_scalar, cd_scalar)
+    cvec_rounds, cvec_hits = _charged(cmachine_vec, cd_vec)
 
     def _replay_all(d):
         for st in measured:
@@ -277,6 +293,10 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
         lambda: _replay_all(d_scalar), repeats=TIMING_REPEATS
     )
     vec_ops = n / _timed(lambda: _replay_all(d_vec), repeats=TIMING_REPEATS)
+    cscalar_ops = n / _timed(
+        lambda: _replay_all(cd_scalar), repeats=TIMING_REPEATS
+    )
+    cvec_ops = n / _timed(lambda: _replay_all(cd_vec), repeats=TIMING_REPEATS)
 
     section = {
         "kernel": kern.name,
@@ -287,6 +307,16 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
         "speedup_vs_scalar_batched": round(vec_ops / scalar_ops, 3),
         "rounds_per_op": round(vec_rounds / n, 4),
         "charged_rounds_equal": scalar_rounds == vec_rounds,
+        "cached": {
+            "cache_blocks": CACHE_BLOCKS,
+            "scalar_ops_per_sec": round(cscalar_ops, 1),
+            "ops_per_sec": round(cvec_ops, 1),
+            "speedup_vs_scalar_batched": round(cvec_ops / cscalar_ops, 3),
+            "rounds_per_op": round(cvec_rounds / n, 4),
+            "charged_rounds_equal": cscalar_rounds == cvec_rounds,
+            "cache_hits_equal": cscalar_hits == cvec_hits,
+            "vs_uncached_ops": round(cvec_ops / vec_ops, 3),
+        },
     }
 
     out = results_dir / "BENCH_throughput.json"
@@ -306,6 +336,12 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
              f"{scalar_ops / seq_ops:.2f}x", str(scalar_rounds)],
             [f"batched, kernel {kern.name}", f"{vec_ops:,.0f}",
              f"{vec_ops / seq_ops:.2f}x", str(vec_rounds)],
+            [f"batched + {CACHE_BLOCKS}-block pool, kernel off",
+             f"{cscalar_ops:,.0f}", f"{cscalar_ops / seq_ops:.2f}x",
+             str(cscalar_rounds)],
+            [f"batched + {CACHE_BLOCKS}-block pool, kernel {kern.name}",
+             f"{cvec_ops:,.0f}", f"{cvec_ops / seq_ops:.2f}x",
+             str(cvec_rounds)],
         ],
     ))
 
@@ -313,6 +349,10 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     assert scalar_rounds == vec_rounds, (
         f"charged rounds diverged: scalar {scalar_rounds} vs "
         f"{kern.name} {vec_rounds}"
+    )
+    assert (cscalar_rounds, cscalar_hits) == (cvec_rounds, cvec_hits), (
+        f"cached rounds/hits diverged: scalar {cscalar_rounds}/"
+        f"{cscalar_hits} vs {kern.name} {cvec_rounds}/{cvec_hits}"
     )
     assert section["speedup_vs_sequential"] >= BATCHED_SPEEDUP_FLOOR, (
         f"batched kernel path {section['speedup_vs_sequential']}x < "

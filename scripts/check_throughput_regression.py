@@ -26,7 +26,11 @@ Two classes of metric, two tolerances:
 The ``batched`` kernel section additionally carries two **absolute**
 acceptance gates that hold regardless of the baseline: the vectorized
 path must stay >= 3x the in-run sequential baseline, and its charged
-rounds must equal the scalar batched path's exactly.
+rounds must equal the scalar batched path's exactly.  Its ``cached``
+subsection (the same comparison with a buffer pool on both machines)
+adds one more: charged rounds *and* pool hits equal to the kernel-off
+path's.  The cached-over-uncached kernel throughput is printed as
+information only.
 """
 
 from __future__ import annotations
@@ -112,6 +116,7 @@ def _check_batched(current, baseline, failures):
     )
     if not ok:
         failures.append("batched/charged_rounds_equal")
+    _check_batched_cached(batched.get("cached"), failures)
     # Baseline-relative regression gates.
     base = baseline.get("batched")
     if base is None:
@@ -121,6 +126,29 @@ def _check_batched(current, baseline, failures):
         _check(
             f"batched/{'.'.join(path)}",
             _dig(batched, path), _dig(base, path), worse_up, tol, failures,
+        )
+
+
+def _check_batched_cached(cached, failures):
+    """Absolute gate on the buffer-pool rows: the kernel path must charge
+    the kernel-off path's rounds and take its pool hits exactly."""
+    if cached is None:
+        print("  [warn] no 'batched.cached' section in current report")
+        return
+    for name in ("charged_rounds_equal", "cache_hits_equal"):
+        value = cached.get(name)
+        ok = value is True
+        print(
+            f"  [{'ok' if ok else 'FAIL'}] batched/cached.{name}: {value}"
+            " (kernel must match the kernel-off path on the pool)"
+        )
+        if not ok:
+            failures.append(f"batched/cached.{name}")
+    ratio = cached.get("vs_uncached_ops")
+    if ratio:
+        print(
+            f"  [info] batched cached/uncached ops: {ratio:g} "
+            f"(uncached/cached {1 / ratio:.2f}x, target <= 1.2x; not gated)"
         )
 
 

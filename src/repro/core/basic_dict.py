@@ -42,7 +42,6 @@ from repro.kernels import resolve_kernel
 from repro.pdm.errors import DiskFailure
 from repro.pdm.iostats import OpCost
 from repro.pdm.machine import AbstractDiskMachine
-from repro.pdm import InternalMemory, InternalMemoryExceeded
 from repro.pdm.spans import span
 from repro.pdm.striping import StripedItemBuckets
 
@@ -80,120 +79,37 @@ def _join_fragments(fragments: Sequence[Any]) -> Any:
     return type(first)(out) if not isinstance(first, list) else out
 
 
-class _KeyColumnCache:
-    """Per-bucket key columns in a kernel column store, M-charged.
+#: keys at or above this value have no key-column form (the pad slot)
+_COLUMN_PAD = (1 << 64) - 1
 
-    The kernel's :meth:`~repro.kernels.base.Kernel.match_candidates`
-    reads bucket key columns out of a backend-shaped store
-    (:meth:`~repro.kernels.base.Kernel.new_column_store`); writing every
-    column per batch would eat the win, so row handles are cached keyed
-    on the block's globally-unique
-    :attr:`~repro.pdm.block.Block.version` stamp — refreshed by every
-    ``store``/``clear``, and collision-free even when a Block object is
-    replaced wholesale.  The kernel batch path only runs with no fault
-    injector and no buffer pool attached, the two layers that mutate
-    payloads *behind* the version stamp.
 
-    Honesty mirrors :class:`~repro.expanders.neighborhoods.
-    NeighborhoodMemo`: ``width + 1`` words charged to
-    :class:`~repro.pdm.memory.InternalMemory` per cached column (the
-    store rows are fixed-width), freeze (keep answering, stop caching)
-    when ``M`` is spoken for, wholesale deterministic reset at
-    ``max_entries`` cached columns *or* ``2 * max_entries`` store rows —
-    rows are write-once, so stale refreshes and frozen-mode writes leave
-    dead rows behind; the row bound caps that scratch.
+def _block_fragments(blocks, key: int) -> List[Tuple[int, Any]]:
+    """``(t, fragment)`` of every item of ``key`` in ``blocks``, in block
+    then slot order.
+
+    A block that already carries a key column (built by an earlier batch
+    lookup) is searched with one 8-aligned bytes search; any other
+    block's payload is scanned.  A single probe never builds a column.
     """
-
-    __slots__ = (
-        "memory", "width", "max_entries",
-        "_store", "_backing", "_rows", "_charged", "_frozen",
-    )
-
-    def __init__(
-        self,
-        memory: Optional[InternalMemory],
-        width: int,
-        max_entries: int = 1 << 16,
-    ) -> None:
-        self.memory = memory
-        self.width = width
-        self.max_entries = max_entries
-        #: addr -> (block version, row handle)
-        self._store: Dict[Tuple[int, int], Tuple[int, int]] = {}  # detlint: guarded(owner-lane) -- memo + memory charge single-writer, like NeighborhoodMemo
-        self._backing: Any = None  # kernel column store, created lazily
-        self._rows = 0
-        self._charged = 0
-        self._frozen = False
-
-    @property
-    def backing(self) -> Any:
-        """The kernel column store the cached row handles index into."""
-        return self._backing
-
-    def column(self, kernel, addr: Tuple[int, int], blk) -> int:
-        version = blk.version
-        entry = self._store.get(addr)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        if (
-            self._rows >= 2 * self.max_entries
-            or len(self._store) >= self.max_entries
-        ):
-            self.reset()
-            entry = None
-        if self._backing is None:
-            self._backing = kernel.new_column_store(self.width)
-        row = kernel.store_column(self._backing, blk.payload)
-        self._rows += 1
-        if entry is not None:
-            # Stale version: release before (maybe) re-caching; the old
-            # row stays dead in the store until the row-bound reset.
-            del self._store[addr]
-            words = self.width + 1
-            self._charged -= words
-            if self.memory is not None:
-                self.memory.release(words)
-        if self._frozen:
-            return row
-        words = self.width + 1
-        if self.memory is not None:
-            try:
-                self.memory.charge(words)
-            except InternalMemoryExceeded:
-                self._frozen = True
-                return row
-        self._charged += words
-        self._store[addr] = (version, row)
-        return row
-
-    def columns(self, kernel, addrs, blocks) -> List[int]:
-        """:meth:`column` over a whole planned read, hit path inlined —
-        one bound-method call per batch instead of one per bucket."""
-        get = self._store.get
-        column = self.column
-        out: List[int] = []
-        append = out.append
-        for addr, blk in zip(addrs, blocks):
-            entry = get(addr)
-            if entry is not None and entry[0] == blk.version:
-                append(entry[1])
-            else:
-                append(column(kernel, addr, blk))
-        return out
-
-    def reset(self) -> None:
-        """Deterministic wholesale reset; releases every charged word and
-        drops the backing store (recreated on next use)."""
-        self._store.clear()
-        self._backing = None
-        self._rows = 0
-        if self.memory is not None and self._charged:
-            self.memory.release(self._charged)
-        self._charged = 0
-        self._frozen = False
-
-    def __len__(self) -> int:
-        return len(self._store)
+    needle = key.to_bytes(8, "little") if key < _COLUMN_PAD else None
+    out: List[Tuple[int, Any]] = []
+    for blk in blocks:
+        payload = blk.payload
+        if not payload:
+            continue
+        column = blk.key_column
+        if column is None or needle is None:
+            for item in payload:
+                if item[0] == key:
+                    out.append((item[1], item[2]))
+            continue
+        i = column.find(needle)
+        while i >= 0:
+            if not i & 7:
+                item = payload[i >> 3]
+                out.append((item[1], item[2]))
+            i = column.find(needle, i + 1)
+    return out
 
 
 class BasicDictionary(Dictionary):
@@ -268,9 +184,8 @@ class BasicDictionary(Dictionary):
             capacity_items=bucket_cap,
             disk_offset=disk_offset,
         )
-        self._columns = _KeyColumnCache(
-            machine.memory, self.buckets.capacity_items
-        )
+        #: the all-pad key column of an empty bucket (see _key_column)
+        self._pad_column: Optional[bytes] = None
         self.size = 0
         self._max_load_seen = 0
 
@@ -305,20 +220,27 @@ class BasicDictionary(Dictionary):
             blocks_per_bucket=self.buckets.blocks_per_bucket,
         ) as m:
             locs = self._neighborhoods.striped(key)
-            if self.machine.faults is None:
-                contents = self.buckets.read_buckets(locs)
-                failures: Dict[Tuple[int, int], Any] = {}
+            failures: Dict[Tuple[int, int], Any] = {}
+            if self.machine.faults is None and self.one_probe:
+                fragments = _block_fragments(
+                    self.buckets.read_neighborhood_blocks(locs), key
+                )
             else:
-                contents, failures = self.buckets.read_buckets_degraded(locs)
-                if failures and m.span is not None:
-                    m.annotate(degraded=True, failed_buckets=len(failures))
-            fragments: List[Tuple[int, Any]] = []
-            for loc in locs:
-                if loc in failures:
-                    continue
-                for (k2, t, frag) in contents[loc]:
-                    if k2 == key:
-                        fragments.append((t, frag))
+                if self.machine.faults is None:
+                    contents = self.buckets.read_buckets(locs)
+                else:
+                    contents, failures = self.buckets.read_buckets_degraded(
+                        locs
+                    )
+                    if failures and m.span is not None:
+                        m.annotate(degraded=True, failed_buckets=len(failures))
+                fragments = [
+                    (t, frag)
+                    for loc in locs
+                    if loc not in failures
+                    for (k2, t, frag) in contents[loc]
+                    if k2 == key
+                ]
             if m.span is not None:
                 m.annotate(found=bool(fragments))
         if failures:
@@ -391,18 +313,18 @@ class BasicDictionary(Dictionary):
         if (
             kernel is not None
             and self.machine.faults is None
-            and self.machine.cache is None
-            and self.buckets.blocks_per_bucket == 1
-            and self.universe_size <= 0xFFFFFFFFFFFFFFFF
+            and self.one_probe
+            and self.universe_size <= _COLUMN_PAD
         ):
             # Vectorized fast path: flat neighborhoods, kernel probe plan,
-            # aligned planned read, batch key matching.  Bit-identical
-            # charges and answers (differential suite); excluded whenever a
-            # layer that can mutate payloads behind the version stamps —
-            # fault injector, buffer pool — is attached, buckets span
-            # several blocks (the plan covers single-block buckets), or
-            # keys might not fit the kernels' 64-bit lanes (the column
-            # stores pad rows with 2**64 - 1).
+            # aligned planned read (through the buffer pool and executor
+            # when attached), batch key matching over the blocks' key
+            # columns.  Bit-identical charges, answers and cache effects
+            # (differential suite); excluded under a fault injector
+            # (degraded reads settle per key), for buckets spanning
+            # several blocks (the plan covers single-block buckets), and
+            # when keys might not fit the columns' 64-bit lanes (padded
+            # with 2**64 - 1).
             return self._batch_lookup_kernel(keys, kernel)
         with span(
             self.machine,
@@ -462,22 +384,26 @@ class BasicDictionary(Dictionary):
         return out, m.cost
 
     def _batch_lookup_kernel(self, keys, kernel):
-        """The vectorized :meth:`batch_lookup` body (healthy, uncached,
-        one-probe).  Stage by stage, with its scalar equivalent:
+        """The vectorized :meth:`batch_lookup` body (healthy, one-probe).
+        Stage by stage, with its scalar equivalent:
 
         1. flat neighborhoods (``NeighborhoodMemo.batch_local_indices`` ==
            per-key ``striped()``, including memo charges and counters);
         2. kernel probe plan (``plan_unique_probe`` == the per-loc
            ``dict.fromkeys`` dedup + ``_batch_rounds`` per-disk tally);
         3. one aligned planned read (``read_planned_blocks`` == the
-           ``read_blocks`` fast path: same rounds, same blocks_read);
-        4. batch key matching of each key against its own candidate rows
-           in the version-cached column store (``match_candidates`` ==
-           the per-key fragment scan).
+           ``read_blocks`` call of the scalar path: same rounds,
+           blocks_read and buffer-pool hits, fills and LRU order);
+        4. batch key matching of each key against its own candidate
+           blocks' key columns (``match_candidates`` == the per-key
+           fragment scan).  A block without a column gets one here
+           (:meth:`~repro.kernels.base.Kernel.store_column`) and keeps it
+           until its payload is replaced.
         """
         machine = self.machine
         buckets = self.buckets
         d = self.graph.degree
+        backend = kernel.name
         with span(
             machine,
             "basic_dict.batch_lookup",
@@ -487,47 +413,27 @@ class BasicDictionary(Dictionary):
             batch_size=len(keys),
         ) as m:
             distinct = list(dict.fromkeys(keys))
-            instrumented = m.span is not None
-            if instrumented:
-                # The kernel stages surface as their own latency layer
-                # ("kernel" in repro.obs); uninstrumented runs skip even
-                # the span() no-op calls.
-                with span(machine, "kernel.neighborhoods", backend=kernel.name):
-                    flat = self._neighborhoods.batch_local_indices(
-                        distinct, kernel=kernel
-                    )
-                with span(machine, "kernel.plan", backend=kernel.name):
-                    unique, max_per_disk, inverse = buckets.probe_plan(
-                        flat, kernel
-                    )
-            else:
+            # The kernel stages surface as their own latency layer
+            # ("kernel" in repro.obs).
+            with span(machine, "kernel.neighborhoods", backend=backend):
                 flat = self._neighborhoods.batch_local_indices(
                     distinct, kernel=kernel
                 )
+            with span(machine, "kernel.plan", backend=backend):
                 unique, max_per_disk, inverse = buckets.probe_plan(
                     flat, kernel
                 )
             rounds = machine.rounds_for_counts(len(unique), max_per_disk)
             blocks = machine.read_planned_blocks(unique, rounds)
-            columns_cache = self._columns
-            if instrumented:
-                with span(machine, "kernel.match", backend=kernel.name):
-                    rows = columns_cache.columns(kernel, unique, blocks)
-                    matches = (
-                        kernel.match_candidates(
-                            columns_cache.backing, rows, inverse, distinct
-                        )
-                        if rows
-                        else []
-                    )
-            else:
-                rows = columns_cache.columns(kernel, unique, blocks)
-                matches = (
-                    kernel.match_candidates(
-                        columns_cache.backing, rows, inverse, distinct
-                    )
-                    if rows
-                    else []
+            with span(machine, "kernel.match", backend=backend):
+                width = buckets.capacity_items
+                columns = [blk.key_column for blk in blocks]
+                if None in columns:
+                    for u, blk in enumerate(blocks):
+                        if columns[u] is None:
+                            columns[u] = self._key_column(blk, kernel)
+                matches = kernel.match_candidates(
+                    kernel.new_column_store(columns, width), inverse, distinct
                 )
             per_key: List[Optional[List[Tuple[int, Any]]]] = (
                 [None] * len(distinct)
@@ -538,7 +444,7 @@ class BasicDictionary(Dictionary):
                 if frags is None:
                     per_key[qi] = frags = []
                 frags.append((item[1], item[2]))
-            if instrumented:
+            if m.span is not None:
                 m.annotate(
                     distinct_keys=len(distinct), buckets_read=len(unique)
                 )
@@ -563,6 +469,23 @@ class BasicDictionary(Dictionary):
             else:
                 out[key] = LookupResult(False, None, cost)
         return out, cost
+
+    def _key_column(self, blk, kernel) -> bytes:
+        """Build ``blk``'s key column and keep it on the block.
+
+        A block with no payload gets the all-pad column, kept on the
+        dictionary instead: the machine hands out one shared block for
+        every never-written address, whatever structure (and bucket
+        width) reads it.
+        """
+        width = self.buckets.capacity_items
+        if blk.payload is None:
+            column = self._pad_column
+            if column is None:
+                column = self._pad_column = kernel.store_column(None, width)
+            return column
+        column = blk.key_column = kernel.store_column(blk.payload, width)
+        return column
 
     def batch_insert(self, items):
         """Upsert many keys with one batched read and one batched write.

@@ -25,6 +25,7 @@ through the charged stack:
 from __future__ import annotations
 
 from array import array
+from struct import pack, unpack
 from typing import Any, List, Sequence, Tuple
 
 from repro.bits.mix import derive, splitmix64
@@ -111,32 +112,32 @@ class Kernel:
 
     # -- batch key matching ------------------------------------------------
 
-    def new_column_store(self, width: int) -> Any:
-        """An empty backend-shaped column store for buckets holding up to
-        ``width`` items.  A store is a caller-owned value: the kernel
-        writes rows into it on request (:meth:`store_column`) and reads
-        them back (:meth:`match_candidates`) but keeps no reference —
-        kernels stay stateless."""
+    def store_column(self, payload: Any, width: int) -> bytes:
+        """The key column of one bucket payload (a list of ``(key, t,
+        fragment)`` items, possibly ``None``): its keys as little-endian
+        ``uint64`` values, padded with ``2**64 - 1`` to ``width`` slots.
+        The format is backend-neutral — a
+        :class:`~repro.pdm.block.Block` carries it as ``key_column`` and
+        any backend reads it.  Keys must be at most ``2**64 - 2``, so the
+        pad never equals a key."""
         raise NotImplementedError
 
-    def store_column(self, store: Any, payload: Any) -> int:
-        """Append the key column of one bucket payload (a list of
-        ``(key, t, fragment)`` items, possibly ``None``) to ``store``;
-        returns the row handle.  Rows are immutable once written — cache
-        the handle for as long as the payload is unchanged."""
+    def new_column_store(self, columns: Sequence[bytes], width: int) -> Any:
+        """Stack ``width``-slot key columns (:meth:`store_column`) into a
+        backend-shaped store for :meth:`match_candidates`; row ``u`` of
+        the store is ``columns[u]``."""
         raise NotImplementedError
 
     def match_candidates(
         self,
         store: Any,
-        rows: Sequence[int],
         inverse: Any,
         queries: Sequence[int],
     ) -> List[Tuple[int, int, int]]:
         """Occurrences of each query key across its own candidate columns.
 
-        ``rows[u]`` is the store row of the ``u``-th unique bucket of a
-        probe plan and ``inverse`` is that plan's flat map (so query
+        Row ``u`` of ``store`` is the column of the ``u``-th unique bucket
+        of a probe plan and ``inverse`` is that plan's flat map (so query
         ``qi``'s candidates are ``inverse[qi*degree : (qi+1)*degree]``;
         ``degree`` is inferred as ``len(inverse) // len(queries)``).
         Returns ``(query_index, unique_index, slot)`` triples ordered by
@@ -155,18 +156,6 @@ class Kernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
-
-
-class _PyColumnStore:
-    """The reference column store: the payload tuples themselves, row =
-    list index.  ``width`` is kept only for parity with fixed-width
-    backends (it bounds every payload by construction)."""
-
-    __slots__ = ("width", "payloads")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self.payloads: List[Any] = []
 
 
 class PythonKernel(Kernel):
@@ -253,22 +242,21 @@ class PythonKernel(Kernel):
                 inverse.append(idx)
         return unique, max(per_disk.values(), default=0), inverse
 
-    def new_column_store(self, width: int) -> Any:
-        return _PyColumnStore(width)
+    def store_column(self, payload: Any, width: int) -> bytes:
+        keys = [item[0] for item in payload] if payload else []
+        keys += [_MASK64] * (width - len(keys))
+        return pack(f"<{width}Q", *keys)
 
-    def store_column(self, store: Any, payload: Any) -> int:
-        row = len(store.payloads)
-        store.payloads.append(payload if payload else ())
-        return row
+    def new_column_store(self, columns: Sequence[bytes], width: int) -> Any:
+        fmt = f"<{width}Q"
+        return [unpack(fmt, column) for column in columns]
 
     def match_candidates(
         self,
         store: Any,
-        rows: Sequence[int],
         inverse: Any,
         queries: Sequence[int],
     ) -> List[Tuple[int, int, int]]:
-        payloads = store.payloads
         nq = len(queries)
         degree = len(inverse) // nq if nq else 0
         out = []
@@ -278,8 +266,8 @@ class PythonKernel(Kernel):
             for _ in range(degree):
                 ci = inverse[p]
                 p += 1
-                for slot, item in enumerate(payloads[rows[ci]]):
-                    if item[0] == key:
+                for slot, k in enumerate(store[ci]):
+                    if k == key:
                         out.append((qi, ci, slot))
         return out
 

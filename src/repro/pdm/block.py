@@ -68,7 +68,10 @@ def payload_fingerprint(payload: Any, used_bits: int) -> int:
 class Block:
     """One disk block: a payload plus bit-granular capacity accounting."""
 
-    __slots__ = ("capacity_bits", "payload", "used_bits", "checksum", "version")
+    __slots__ = (
+        "capacity_bits", "payload", "used_bits", "checksum", "version",
+        "key_column",
+    )
 
     def __init__(self, capacity_bits: int):
         if capacity_bits <= 0:
@@ -80,12 +83,18 @@ class Block:
         #: when the block has never been written with checksums enabled.
         self.checksum: Optional[int] = None
         #: globally-unique content stamp, refreshed by every :meth:`store`
-        #: / :meth:`clear`.  Derived caches (the batch kernels' key
-        #: columns) key on it: an unchanged version proves the payload was
-        #: not replaced through the write API.  It deliberately does NOT
-        #: cover in-place mutation behind the API (fault corruption, the
-        #: buffer pool's refresh) — consumers must not cache across those.
+        #: / :meth:`clear`: an unchanged version proves the payload was not
+        #: replaced through the write API.  Nothing rewrites a payload
+        #: behind the API — fault corruption and the buffer pool's
+        #: writes install a *new* Block (with a fresh stamp), and a pool
+        #: fill holds the fetched Block itself.
         self.version: int = _next_version()
+        #: the payload's item keys as a little-endian ``uint64`` byte
+        #: string padded with ``2**64 - 1`` to the bucket width
+        #: (:meth:`repro.kernels.base.Kernel.store_column`), built by the
+        #: first batch lookup that reads the block; ``None`` until then.
+        #: :meth:`store` and :meth:`clear` drop it with the payload.
+        self.key_column: Optional[bytes] = None
 
     @property
     def is_empty(self) -> bool:
@@ -112,12 +121,14 @@ class Block:
         self.used_bits = used_bits
         self.checksum = None
         self.version = _next_version()
+        self.key_column = None
 
     def clear(self) -> None:
         self.payload = None
         self.used_bits = 0
         self.checksum = None
         self.version = _next_version()
+        self.key_column = None
 
     # -- integrity ----------------------------------------------------------
 

@@ -108,7 +108,7 @@ class CacheStats:
 
 
 class _Entry:
-    """One cached block: the pool-owned copy plus its bookkeeping bits."""
+    """One cached block plus its bookkeeping bits."""
 
     __slots__ = ("block", "dirty", "pinned")
 
@@ -209,27 +209,31 @@ class BufferPool:
         return None if entry is None else entry.block
 
     def fill(self, addr: Addr, source: Block, machine) -> Block:
-        """Install a clean copy of ``source`` after a miss fetch; returns
-        the pool-owned block (shared payload — payloads are replaced, never
-        mutated, by every writer in this repository).
+        """Install ``source``, the block a miss fetch returned, and return
+        it.
+
+        The pool holds the fetched block itself, not a copy: every write
+        to a cached address replaces the entry's block (:meth:`put`,
+        :meth:`refresh`), and fault corruption replaces the disk's block
+        and drops the entry, so a cached block's payload, version stamp
+        and key column stay those of the disk — and a key column built
+        on a cached block outlives its eviction.
 
         If the pool is full the LRU unpinned entry is evicted first (dirty
         evictions flush as ordinary charged writes on ``machine``); if
-        every entry is pinned the fill is skipped and ``source`` itself is
-        returned — the read stays correct, just uncached.
+        every entry is pinned the fill is skipped — the read stays
+        correct, just uncached.
         """
         entry = self._entries.get(addr)
         if entry is not None:  # refresh (e.g. re-fetch after invalidation)
-            entry.block = self._copy(source)
+            entry.block = source
             entry.dirty = False
             self._entries.move_to_end(addr)
-            return entry.block
-        if not self._make_room(machine):
             return source
-        owned = self._copy(source)
-        self._entries[addr] = _Entry(owned)
-        self.stats.fills += 1
-        return owned
+        if self._make_room(machine):
+            self._entries[addr] = _Entry(source)
+            self.stats.fills += 1
+        return source
 
     # -- the write side ------------------------------------------------------
 
@@ -284,13 +288,6 @@ class BufferPool:
         entry.pinned = False
 
     # -- eviction / flush / invalidation ------------------------------------
-
-    def _copy(self, source: Block) -> Block:
-        owned = Block(self.block_bits)
-        owned.payload = source.payload
-        owned.used_bits = source.used_bits
-        owned.checksum = source.checksum
-        return owned
 
     def _make_room(self, machine) -> bool:
         """Ensure one free slot; ``False`` when everything is pinned."""

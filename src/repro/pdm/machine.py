@@ -556,7 +556,9 @@ class AbstractDiskMachine:
         ``_batch_rounds(unique)`` — callers get both from the kernels'
         :meth:`~repro.kernels.base.Kernel.plan_unique_probe` plus
         :meth:`rounds_for_counts` (the differential suite pins the
-        equality).  Returns blocks aligned with ``unique`` — no dict
+        equality), or, for one key's neighborhood of one block per disk,
+        from ``rounds_for_counts(len(unique), 1)``.  Returns blocks
+        aligned with ``unique`` — no dict
         build, no payload copies.  Charges are identical to
         :meth:`read_blocks` on the same set; with anything attached
         (cache, faults, tracer, checksums, non-inline executor) it simply
@@ -652,9 +654,7 @@ class AbstractDiskMachine:
         for addr in misses:
             blk = blocks.get(addr)
             if blk is not None and blk is not void:
-                # Install the fetched block; callers get the pool-owned
-                # copy so later in-place disk corruption can't reach them.
-                blocks[addr] = cache.fill(addr, blk, self)
+                cache.fill(addr, blk, self)
         blocks.update(hits)
         return blocks, failures
 

@@ -356,6 +356,33 @@ class StripedItemBuckets:
             locals_flat, self.stripes, self._base, self.disk_offset
         )
 
+    def read_neighborhood_blocks(self, locs: Sequence[FieldLoc]) -> List[Any]:
+        """Fetch the blocks of single-block buckets, at most one bucket
+        per stripe (a key's neighborhood), aligned with ``locs``.
+
+        The same charged read as :meth:`read_buckets` on the same
+        buckets — one round on the PDM, buffer-pool hits and fills in
+        ``locs`` order — but the blocks come back as they are, with no
+        payload copies; treat them as read-only.
+        """
+        if self.blocks_per_bucket != 1:
+            raise ValueError(
+                "read_neighborhood_blocks covers single-block buckets only "
+                f"(blocks_per_bucket={self.blocks_per_bucket})"
+            )
+        base = self._base
+        off = self.disk_offset
+        addrs = []
+        for loc in locs:
+            stripe, index = loc
+            if not (0 <= stripe < self.stripes and 0 <= index < self.stripe_size):
+                self._check_loc(loc)
+            addrs.append((off + stripe, base[stripe] + index))
+        machine = self.machine
+        return machine.read_planned_blocks(
+            addrs, machine.rounds_for_counts(len(addrs), 1)
+        )
+
     def read_buckets(self, locs: Iterable[FieldLoc]) -> Dict[FieldLoc, List[Any]]:
         """Fetch bucket contents as item lists (empty list if untouched).
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.basic_dict import BasicDictionary
 from repro.core.facade import ParallelDiskDictionary
 from repro.faults import FaultPlan
 from repro.pdm import (
@@ -162,6 +163,58 @@ def test_facade_level_parity(tmp_path, name):
 
     baseline = run()
     assert run(executor=name, executor_dir=str(tmp_path / name)) == baseline
+
+
+def test_file_backed_batch_lookups_match_simulated_twin(tmp_path):
+    """A long run of kernel batch lookups on the file executor.
+
+    Every file-backed read decodes fresh blocks, so every batch builds
+    the key column of every block it reads — about 700 per batch in
+    this geometry.  Across 256 batches that is well past the 2 x 65,536
+    rows at which a shared per-dictionary column store used to reset in
+    the middle of a batch and raise ``IndexError``.  The run must raise
+    nothing and match its simulated twin answer for answer and charge
+    for charge.
+    """
+    universe = 1 << 20
+    rng = random.Random(12)
+    items = {k: k % 1009 for k in rng.sample(range(universe), 4000)}
+    present = sorted(items)
+
+    def build(executor):
+        machine = ParallelDiskMachine(16, 32, executor=executor)
+        d = BasicDictionary(
+            machine, universe_size=universe, capacity=20_000, degree=16,
+            seed=6,
+        )
+        d.bulk_build(items)
+        return machine, d
+
+    twins = [
+        build(None),
+        build(create_executor("file", directory=str(tmp_path / "file"))),
+    ]
+    try:
+        for batch in range(256):
+            keys = rng.sample(present, 32) + [
+                rng.randrange(universe) for _ in range(32)
+            ]
+            answers = []
+            for _, d in twins:
+                outcomes, cost = d.batch_lookup(keys)
+                answers.append((
+                    {k: (r.found, r.value) for k, r in outcomes.items()},
+                    cost,
+                ))
+            assert answers[0] == answers[1], f"batch {batch}"
+        stats = [
+            (s.read_ios, s.write_ios, s.blocks_read, s.blocks_written)
+            for s in (m.stats for m, _ in twins)
+        ]
+        assert stats[0] == stats[1]
+    finally:
+        for machine, _ in twins:
+            machine.close()
 
 
 class TestFileExecutorThreadingSmoke:

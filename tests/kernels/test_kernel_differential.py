@@ -7,19 +7,27 @@ observable must agree: per-key batch outcomes, the charged
 :class:`~repro.pdm.iostats.IOStats`, the per-batch ``OpCost``, and the
 round-packing witnesses recorded on the batch spans.  The comparison
 runs healthy, under a ``kill_disks`` fault plan, with a memory budget
-tiny enough to freeze the neighborhood memo and the key-column cache,
-and across mutation (the column cache must never serve stale rows).
+tiny enough to freeze the neighborhood memo, with a buffer pool attached
+(where the pool's ``CacheStats`` and final LRU order must agree too), on
+the file executor, and across mutation (a block's key column must never
+outlive its payload).  Single-key lookups are held to the same standard:
+searching a block's key column answers and charges exactly like scanning
+its payload.
 """
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.basic_dict import BasicDictionary
+from repro.core.basic_dict import BasicDictionary, _block_fragments
 from repro.core.interface import DegradedLookupError, LookupResult
 from repro.faults.plan import FaultPlan
 from repro.kernels import create_kernel
+from repro.pdm import create_executor
 from repro.pdm.faults import attach_faults
+from repro.pdm.block import Block
 from repro.pdm.machine import ParallelDiskMachine
 from repro.pdm.spans import attach_spans
 from repro.workloads.access import zipf_accesses
@@ -29,6 +37,8 @@ D = 8
 B = 16
 CAPACITY = 256
 N_ITEMS = 96
+#: buffer-pool size for the cached replays, below the 32-bucket array
+POOL_BLOCKS = 12
 
 KERNELS = ["off", "python"]
 try:
@@ -38,8 +48,18 @@ except ImportError:  # pragma: no cover - numpy is present in CI
     pass
 
 
-def _build(kernel, *, memory_words=None, num_disks=D):
-    machine = ParallelDiskMachine(num_disks, B, memory_words=memory_words)
+def _build(
+    kernel, *, memory_words=None, num_disks=D, cache_blocks=None,
+    directory=None,
+):
+    executor = (
+        None if directory is None
+        else create_executor("file", directory=str(directory))
+    )
+    machine = ParallelDiskMachine(
+        num_disks, B, memory_words=memory_words, cache_blocks=cache_blocks,
+        executor=executor,
+    )
     d = BasicDictionary(
         machine,
         universe_size=U,
@@ -79,9 +99,15 @@ def _stats_fingerprint(machine):
     return (s.read_ios, s.write_ios, s.blocks_read, s.blocks_written)
 
 
-def _run_replay(kernel, *, faults=None, memory_words=None, batches=3):
+def _run_replay(
+    kernel, *, faults=None, memory_words=None, batches=3, cache_blocks=None,
+    directory=None,
+):
     """One full replay under a backend; returns every observable."""
-    machine, d, items = _build(kernel, memory_words=memory_words)
+    machine, d, items = _build(
+        kernel, memory_words=memory_words, cache_blocks=cache_blocks,
+        directory=directory,
+    )
     recorder = attach_spans(machine)
     if faults is not None:
         attach_faults(
@@ -128,6 +154,10 @@ def _run_replay(kernel, *, faults=None, memory_words=None, batches=3):
         if root.name == "basic_dict.batch_lookup"
     ]
     observed.append(witnesses)
+    if machine.cache is not None:
+        observed.append(machine.cache.stats.as_dict())
+        observed.append(machine.cache.cached_addresses())
+    machine.close()
     return observed
 
 
@@ -143,11 +173,30 @@ class TestKernelMatchesScalar:
         )
 
     def test_memo_and_cache_frozen_under_tiny_memory(self, kernel):
-        # A budget too small for the neighborhood memo and the key-column
-        # cache: both freeze, and the frozen paths must stay identical.
+        # A budget too small for the neighborhood memo: it freezes, and
+        # the frozen path must stay identical.
         words = 512
         assert _run_replay(kernel, memory_words=words) == _run_replay(
             "off", memory_words=words
+        )
+
+    def test_with_buffer_pool(self, kernel):
+        # A pool smaller than the bucket array: hits, fills, evictions
+        # and write-back absorption all happen, and must happen alike.
+        assert _run_replay(kernel, cache_blocks=POOL_BLOCKS) == _run_replay(
+            "off", cache_blocks=POOL_BLOCKS
+        )
+
+    def test_on_file_executor(self, kernel, tmp_path):
+        assert _run_replay(kernel, directory=tmp_path / "k") == _run_replay(
+            "off", directory=tmp_path / "off"
+        )
+
+    def test_with_buffer_pool_on_file_executor(self, kernel, tmp_path):
+        assert _run_replay(
+            kernel, cache_blocks=POOL_BLOCKS, directory=tmp_path / "k"
+        ) == _run_replay(
+            "off", cache_blocks=POOL_BLOCKS, directory=tmp_path / "off"
         )
 
     def test_plan_matches_machine_charge(self, kernel):
@@ -176,3 +225,98 @@ def test_backends_disagreeing_would_be_caught():
     assert a == b
     b[-1][0]["rounds_batched"] += 1
     assert a != b
+
+
+# -- single-key lookups: key column vs payload scan ---------------------------
+
+#: the largest key a block's key column holds (2**64 - 1 is its pad)
+TOP_KEY = (1 << 64) - 2
+
+
+def _lookup_fingerprint(d, keys):
+    out = []
+    for key in keys:
+        res = d.lookup(key)
+        out.append((key, res.found, res.value, res.cost.read_ios))
+    return out
+
+
+def _column_blocks(machine):
+    return sum(
+        1
+        for disk in machine.disks
+        for blk in disk._blocks.values()
+        if blk.key_column is not None
+    )
+
+
+@pytest.mark.parametrize("k_fragments", [1, 2])
+@pytest.mark.parametrize("kernel", KERNELS[1:])
+def test_single_lookup_column_search_matches_payload_scan(kernel, k_fragments):
+    """Twin dictionaries: in one a kernel batch lookup has given every
+    probed block a key column, the other (kernel off) never builds one,
+    so its lookups scan payloads.  Answers and charges must agree for
+    present keys, absent keys, keys whose buckets are all empty, the
+    largest key, and across mutations that replace column-carrying
+    blocks."""
+    universe = (1 << 64) - 1
+    rng = random.Random(k_fragments)
+    # Few keys in many buckets: most buckets stay empty.
+    items = {rng.randrange(universe - 1): f"value-{i:04d}" for i in range(24)}
+    items[TOP_KEY] = "top-value"
+    twins = []
+    for kern in (kernel, "off"):
+        machine = ParallelDiskMachine(D, B)
+        d = BasicDictionary(
+            machine, universe_size=universe, capacity=4 * CAPACITY,
+            degree=D, k_fragments=k_fragments, seed=5, kernel=kern,
+        )
+        d.bulk_build(items)
+        twins.append((machine, d))
+    absent = [
+        k
+        for k in [rng.randrange(universe - 1) for _ in range(40)] + [0, 1]
+        if k not in items
+    ]
+    probes = sorted(items) + absent
+    d = twins[0][1]
+    assert any(
+        not any(d.buckets.peek(loc) for loc in d._neighborhoods.striped(k))
+        for k in absent
+    ), "no absent key probes only empty buckets"
+
+    for machine, d in twins:
+        d.batch_lookup(probes)
+    assert _column_blocks(twins[0][0]) > 0
+    assert _column_blocks(twins[1][0]) == 0
+
+    def run(d):
+        observed = _lookup_fingerprint(d, probes)
+        victims = sorted(items)[:6]
+        for k in victims[:3]:
+            d.delete(k)
+        for k in victims[3:]:
+            d.upsert(k, "replaced-" + str(k % 97))
+        d.upsert(absent[0], "fresh-value")
+        observed.append(_lookup_fingerprint(d, probes))
+        return observed
+
+    assert run(twins[0][1]) == run(twins[1][1])
+    assert _stats_fingerprint(twins[0][0]) == _stats_fingerprint(twins[1][0])
+    found = _lookup_fingerprint(twins[0][1], [TOP_KEY])
+    assert found[0][1:3] == (True, "top-value")
+
+
+@pytest.mark.parametrize("kernel", KERNELS[1:])
+def test_column_search_skips_unaligned_matches(kernel):
+    """A key whose bytes straddle two column slots is not a match."""
+    a = 0x1111111122222222
+    b = 0x3333333344444444
+    straddle = int.from_bytes(
+        a.to_bytes(8, "little")[4:] + b.to_bytes(8, "little")[:4], "little"
+    )
+    blk = Block(1 << 12)
+    blk.store([(a, 0, "x"), (b, 0, "y")], 64)
+    blk.key_column = create_kernel(kernel).store_column(blk.payload, 4)
+    assert _block_fragments([blk], straddle) == []
+    assert _block_fragments([blk], b) == [(0, "y")]

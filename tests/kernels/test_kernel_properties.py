@@ -272,8 +272,8 @@ def match_cases(draw):
 @given(case=match_cases())
 def test_match_candidates_matches_brute_force(kernel, case):
     width, payloads, queries, candidates = case
-    store = kernel.new_column_store(width)
-    rows = [kernel.store_column(store, p) for p in payloads]
+    columns = [kernel.store_column(p, width) for p in payloads]
+    store = kernel.new_column_store(columns, width)
     inverse = [ci for cols in candidates for ci in cols]
 
     expected = []
@@ -283,33 +283,59 @@ def test_match_candidates_matches_brute_force(kernel, case):
                 if item[0] == key:
                     expected.append((qi, ci, slot))
 
-    got = kernel.match_candidates(store, rows, inverse, queries)
+    got = kernel.match_candidates(store, inverse, queries)
     assert got == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(case=match_cases())
+def test_store_column_is_the_padded_little_endian_key_column(kernel, case):
+    """The column format is backend-neutral: ``width`` little-endian
+    uint64 slots, the payload's keys first, then ``2**64 - 1`` pads."""
+    width, payloads, _, _ = case
+    for payload in payloads:
+        column = kernel.store_column(payload, width)
+        assert isinstance(column, bytes) and len(column) == 8 * width
+        slots = [
+            int.from_bytes(column[8 * i : 8 * i + 8], "little")
+            for i in range(width)
+        ]
+        keys = [item[0] for item in payload]
+        assert slots == keys + [_MASK64] * (width - len(keys))
+
+
 def test_store_rows_are_stable_across_growth(kernel):
-    """Row handles stay valid after the store grows past its initial
-    allocation (the numpy matrix doubles; handles must not move)."""
-    store = kernel.new_column_store(2)
+    """Row ``u`` of a stacked store is column ``u``, however many columns
+    are stacked (no row moves or drops in a large stack)."""
     payloads = [[(k, 0, None)] for k in range(600)]
-    rows = [kernel.store_column(store, p) for p in payloads]
+    columns = [kernel.store_column(p, 2) for p in payloads]
+    store = kernel.new_column_store(columns, 2)
     queries = [17, 421]
-    matches = kernel.match_candidates(
-        store, rows, [rows[17], rows[421]], queries
-    )
+    matches = kernel.match_candidates(store, [17, 421], queries)
     assert matches == [(0, 17, 0), (1, 421, 0)]
 
 
 def test_empty_payload_columns_match_nothing(kernel):
-    store = kernel.new_column_store(3)
-    rows = [
-        kernel.store_column(store, None),
-        kernel.store_column(store, []),
-        kernel.store_column(store, [(5, 1, None)]),
+    columns = [
+        kernel.store_column(None, 3),
+        kernel.store_column([], 3),
+        kernel.store_column([(5, 1, None)], 3),
     ]
-    assert kernel.match_candidates(store, rows, [0, 1, 2], [5]) == [
-        (0, 2, 0)
+    store = kernel.new_column_store(columns, 3)
+    assert kernel.match_candidates(store, [0, 1, 2], [5]) == [(0, 2, 0)]
+
+
+def test_largest_key_is_never_a_pad(kernel):
+    """``2**64 - 2``, the largest key a column holds, matches only its
+    own slot, never a pad."""
+    top = _MASK64 - 1
+    columns = [
+        kernel.store_column([(top, 0, "a")], 4),
+        kernel.store_column([], 4),
     ]
+    store = kernel.new_column_store(columns, 4)
+    assert kernel.match_candidates(store, [0, 1], [top]) == [(0, 0, 0)]
+    assert kernel.match_candidates(store, [0, 1], [7]) == []
 
 
 @pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")
