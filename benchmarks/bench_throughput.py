@@ -33,11 +33,9 @@ import json
 import random
 import time
 
-import pytest
-
 from repro.analysis.reporting import render_table
 from repro.core.basic_dict import BasicDictionary
-from repro.kernels import default_kernel
+from repro.kernels import resolve_kernel
 from repro.pdm.machine import ParallelDiskMachine
 from repro.workloads.access import zipf_accesses
 
@@ -248,12 +246,9 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     merged into ``BENCH_throughput.json`` (read-modify-write, so running
     this test alone via ``-k batched`` keeps the skew report's sections).
     """
-    kern = default_kernel()
-    if kern is None:  # REPRO_KERNEL=off: nothing to vectorize
-        pytest.skip("batch kernels disabled via REPRO_KERNEL=off")
-
+    kern = resolve_kernel(None)  # the dictionaries' default kernel
     machine_scalar, d_scalar, keys = _build(kernel="off")
-    machine_vec, d_vec, _ = _build()  # the process-default kernel
+    machine_vec, d_vec, _ = _build()
     cmachine_scalar, cd_scalar, _ = _build(
         cache_blocks=CACHE_BLOCKS, kernel="off"
     )

@@ -16,7 +16,6 @@ from repro.analysis.concurrency import (
     footprints,
     max_block_contention,
 )
-import repro.bounds as bounds
 
 __all__ = [
     "Figure1Row",
@@ -26,5 +25,4 @@ __all__ = [
     "footprint_of",
     "footprints",
     "max_block_contention",
-    "bounds",
 ]

@@ -173,9 +173,9 @@ class BasicDictionary(Dictionary):
         # (the model grants M words; repeated Γ(key) evaluations are free).
         self._neighborhoods = NeighborhoodMemo(graph, memory=machine.memory)
         #: batch kernel for the vectorized fast path (``None`` after
-        #: ``kernel="off"`` or ``REPRO_KERNEL=off`` — scalar everywhere);
-        #: swapping backends never changes an answer or a charge (the
-        #: tests/kernels differential suite pins this).
+        #: ``kernel="off"`` — scalar everywhere); the kernel path never
+        #: changes an answer or a charge (the tests/kernels differential
+        #: suite pins this).
         self._kernel = resolve_kernel(kernel)
         self.buckets = StripedItemBuckets(
             machine,

@@ -56,9 +56,9 @@ class ParallelDiskDictionary(Dictionary):
     ):
         """``executor`` selects the physical backend for every machine the
         facade creates (:mod:`repro.pdm.executors`): ``None`` for the
-        in-memory simulator, an executor *name* (``"file"``/``"process"``,
-        with per-machine subdirectories of the required ``executor_dir``
-        and ``executor_options`` passed through), a zero/one-argument
+        in-memory simulator, an executor *name* (``"file"``, with
+        per-machine subdirectories of the required ``executor_dir`` and
+        ``executor_options`` passed through), a zero/one-argument
         *factory* called per machine, or a ready ``RoundExecutor``
         *instance* (single-machine facades only — executors bind once).
         File-backed facades must be :meth:`close`\\ d before their

@@ -146,13 +146,13 @@ class Dictionary:
 
     # -- batched operations --------------------------------------------------
     #
-    # The contract shared by every implementation (and relied on by
-    # ``repro.batch``): duplicate keys collapse (one outcome per distinct
-    # key, last value wins for inserts), and *per-key* fault conditions
-    # (degraded reads, capacity, surviving I/O faults) surface as exception
-    # values in the result map — a batch never raises wholesale for a
-    # condition that only poisons some of its keys.  Programming errors
-    # (keys outside the universe) still raise eagerly.
+    # The contract shared by every implementation: duplicate keys collapse
+    # (one outcome per distinct key, last value wins for inserts), and
+    # *per-key* fault conditions (degraded reads, capacity, surviving I/O
+    # faults) surface as exception values in the result map — a batch
+    # never raises wholesale for a condition that only poisons some of its
+    # keys.  Programming errors (keys outside the universe) still raise
+    # eagerly.
     #
     # These base versions simply loop the single-key operations — correct
     # for every structure, with no round savings.  The paper dictionaries

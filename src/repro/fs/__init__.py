@@ -8,7 +8,7 @@ file block, and every operation reports its parallel-I/O cost with the
 dictionary's worst-case guarantees behind it.
 
 :mod:`repro.fs.blockfile` is the other half of this package: the durable
-per-disk block log beneath the file-backed executors
+per-disk block log beneath the file-backed executor
 (:mod:`repro.pdm.executors`) — append-only CRC-framed records with
 fsync-before-acknowledge ordering and typed
 :class:`~repro.pdm.errors.DiskFailure` / BlockCorruption errors.

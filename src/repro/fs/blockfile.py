@@ -6,7 +6,7 @@ a self-describing *frame* — header, pickled payload, CRC — and updates an
 in-memory index ``block_index -> (offset, length)``; the newest frame for
 an index shadows every older one, so overwrites never rewrite the file.
 Reads use ``os.pread`` on a raw descriptor: no shared file position, so
-one worker thread (or process) per disk can serve a round's transfers
+one worker thread per disk can serve a round's transfers
 concurrently without locking.
 
 Durability contract (the gap this module closes):
@@ -53,7 +53,7 @@ _CRC = struct.Struct("<I")
 CRC_SIZE = _CRC.size
 _FLAG_SEALED = 0x01
 #: pinned pickle protocol: frames written by one interpreter must decode
-#: in a worker process of the same run and in later sessions alike.
+#: in later sessions too.
 PICKLE_PROTOCOL = 4
 
 #: index sentinel for a frame whose tail was torn off (crash mid-write):
@@ -121,7 +121,7 @@ class BlockLogFile:
 
     Single-writer, many-reader: appends come from the owning executor
     lane; reads are position-less ``os.pread`` calls and may run from any
-    thread or process holding the path and an extent.
+    thread holding the path and an extent.
     """
 
     def __init__(self, path: str, *, fsync: bool = False):
@@ -223,8 +223,7 @@ class BlockLogFile:
 
     def frame_extent(self, block_index: int) -> Optional[Tuple[int, int]]:
         """``(offset, length)`` of the newest frame for ``block_index``,
-        ``None`` if never written.  Raises for a torn frame — process
-        workers must not be handed an unreadable extent."""
+        ``None`` if never written.  Raises for a torn frame."""
         extent = self._index.get(block_index)
         if extent is None:
             return None

@@ -5,103 +5,48 @@ per-*batch* cost was dominated by Python frames — one expander
 evaluation, one hash, one bucket scan per key.  This package computes
 those for a whole batch at once over flat ``array``/``numpy`` lanes (the
 ``NeighborhoodMemo`` flat-``array('I')`` design generalized), with the
-charged cost untouched: kernels are pure value-to-value functions, and
-every backend is held bit-identical to the scalar reference by the
-property suite in ``tests/kernels``.
+charged cost untouched: kernels are pure value-to-value functions.
 
-Backends are selected like the executor registry
-(:mod:`repro.pdm.executors`): by name, with the pure-Python
-:class:`~repro.kernels.base.PythonKernel` always available as the
-reference and :class:`~repro.kernels.numpy_backend.NumpyKernel` loaded
-lazily when numpy is importable.  The default is resolved per call from
-the ``REPRO_KERNEL`` environment variable (``python`` / ``numpy`` /
-``off``) and auto-picks numpy when unset; ``off`` disables the batch
-fast paths entirely, which is how the differential suites pin the
-scalar behavior.
+The runtime backend is :class:`~repro.kernels.numpy_backend.NumpyKernel`
+(numpy is a hard dependency).  :class:`~repro.kernels.base.PythonKernel`
+is its element-for-element reference in the property suite and the loop
+it falls back to where vectorization cannot be exact.  A dictionary's
+``kernel="off"`` switches the batch fast paths off entirely: that scalar
+path is the reference the differential suite and the throughput
+benchmark compare the kernel path against.
 
 This package sits beside :mod:`repro.bits` at the bottom of the layer
-graph (arch-base): it may be imported from any layer and itself imports
-nothing but ``repro.bits``.
+graph (arch-base): it may be imported from any layer, and from the
+project it imports nothing but ``repro.bits``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.kernels.base import Kernel, PythonKernel
+from repro.kernels.numpy_backend import NumpyKernel
 
-KERNEL_NAMES = ("python", "numpy")
-
-#: environment switch consulted by :func:`default_kernel`
-KERNEL_ENV = "REPRO_KERNEL"
-
-_instances: Dict[str, Kernel] = {}  # detlint: guarded(owner-lane) -- idempotent memo of stateless singletons
+_NUMPY = NumpyKernel()
 
 
-def create_kernel(name: str) -> Kernel:
-    """Build a kernel backend by name (``python`` or ``numpy``).
+def resolve_kernel(spec: Optional[str]) -> Optional[Kernel]:
+    """Normalize a dictionary's ``kernel`` argument.
 
-    Raises :class:`ValueError` for unknown names and :class:`ImportError`
-    when the numpy backend is requested without numpy installed.
-    """
-    if name == "python":
-        return PythonKernel()
-    if name == "numpy":
-        from repro.kernels.numpy_backend import NumpyKernel
-
-        return NumpyKernel()
-    raise ValueError(
-        f"unknown kernel backend {name!r}; expected one of {KERNEL_NAMES}"
-    )
-
-
-def _cached(name: str) -> Kernel:
-    kern = _instances.get(name)
-    if kern is None:
-        kern = _instances[name] = create_kernel(name)
-    return kern
-
-
-def default_kernel() -> Optional[Kernel]:
-    """The process-default kernel, honoring ``REPRO_KERNEL``.
-
-    ``off``/``none`` → ``None`` (callers fall back to their scalar
-    paths); unset/``auto`` → numpy when importable else the reference.
-    Kernels are stateless, so instances are shared.
-    """
-    choice = os.environ.get(KERNEL_ENV, "auto").strip().lower()
-    if choice in ("off", "none", "0", "disabled"):
-        return None
-    if choice in ("auto", ""):
-        try:
-            return _cached("numpy")
-        except ImportError:
-            return _cached("python")
-    return _cached(choice)
-
-
-def resolve_kernel(spec: "Optional[str | Kernel]") -> Optional[Kernel]:
-    """Normalize a constructor argument into a kernel (or ``None``).
-
-    ``None`` → :func:`default_kernel`; ``"off"`` → ``None``; a name →
-    that backend; a :class:`Kernel` instance passes through.
+    ``None`` → the shared :class:`NumpyKernel` (kernels are stateless);
+    ``"off"`` → ``None``, the scalar batch path.  Anything else raises
+    :class:`ValueError`.
     """
     if spec is None:
-        return default_kernel()
-    if isinstance(spec, Kernel):
-        return spec
-    if spec in ("off", "none"):
+        return _NUMPY
+    if spec == "off":
         return None
-    return _cached(spec)
+    raise ValueError(f"kernel must be None or 'off', got {spec!r}")
 
 
 __all__ = [
-    "KERNEL_ENV",
-    "KERNEL_NAMES",
     "Kernel",
+    "NumpyKernel",
     "PythonKernel",
-    "create_kernel",
-    "default_kernel",
     "resolve_kernel",
 ]

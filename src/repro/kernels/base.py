@@ -18,8 +18,9 @@ through the charged stack:
   a fault.
 
 :class:`PythonKernel` is the reference implementation: plain loops over
-``array`` values, dependency-free, always available.  The optional
-:mod:`~repro.kernels.numpy_backend` vectorizes the same interface.
+``array`` values.  :mod:`~repro.kernels.numpy_backend`, the runtime
+backend, vectorizes the same interface and falls back to these loops
+where vectorizing would not be exact.
 """
 
 from __future__ import annotations

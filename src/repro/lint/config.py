@@ -70,7 +70,6 @@ DEFAULT_RACE_SCOPE = [
     "repro.core",
     "repro.expanders",
     "repro.extsort",
-    "repro.batch",
     "repro.hashing",
     "repro.btree",
     "repro.recovery",

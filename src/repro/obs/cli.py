@@ -88,16 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
         choices=EXECUTOR_NAMES,
         default="simulated",
         help="physical backend (repro.pdm.executors): the in-memory "
-        "simulator, thread-per-disk real files, or a process pool. Every "
-        "deterministic output is identical across backends; with --wall "
-        "the file backends add executor.* transfer metrics",
+        "simulator or thread-per-disk real files. Every deterministic "
+        "output is identical across backends; with --wall the file "
+        "backend adds executor.* transfer metrics",
     )
     parser.add_argument(
         "--executor-dir",
         type=pathlib.Path,
         default=None,
         metavar="DIR",
-        help="directory for the file backends' per-disk block logs "
+        help="directory for the file backend's per-disk block logs "
         "(default: a temporary directory removed after the run)",
     )
     parser.add_argument(

@@ -63,7 +63,7 @@ _HIGHER_IS_BETTER = (
 _LOWER_IS_BETTER = (
     "rounds_per_op", "_us", "overhead", "total_ios", "avg_ios",
     "worst_ios", "wrong_answers", "violations", "errors", "_rounds",
-    "degraded_read_fraction", "blocks_lost",
+    "degraded_read_fraction", "blocks_lost", "code.",
 )
 
 
@@ -234,13 +234,35 @@ EXTRACTORS: Dict[str, Callable[[Dict[str, Any]], Dict[str, float]]] = {
 }
 
 
+#: the checkout this module runs from (``src/repro/obs/history.py``)
+_CHECKOUT = pathlib.Path(__file__).resolve().parents[3]
+
+
+def count_code_lines(root) -> Dict[str, float]:
+    """``code.src_lines`` / ``code.tests_lines``: newline count of every
+    ``.py`` file under ``root/src`` and ``root/tests`` (what ``wc -l``
+    reports), so removals show beside the speed numbers.  A missing
+    directory contributes no metric."""
+    root = pathlib.Path(root)
+    out: Dict[str, float] = {}
+    for part in ("src", "tests"):
+        base = root / part
+        if base.is_dir():
+            out[f"code.{part}_lines"] = sum(
+                path.read_bytes().count(b"\n")
+                for path in sorted(base.rglob("*.py"))
+            )
+    return out
+
+
 def ingest_results(results_dir) -> Dict[str, Any]:
-    """Read every ``BENCH_*.json`` under ``results_dir``.
+    """Read every ``BENCH_*.json`` under ``results_dir``, plus the line
+    counts of the checkout (:func:`count_code_lines`).
 
     Returns ``{"metrics": {...merged flat map...}, "sources": [stems],
     "skipped": [stems without an extractor]}``."""
     results_dir = pathlib.Path(results_dir)
-    metrics: Dict[str, float] = {}
+    metrics: Dict[str, float] = count_code_lines(_CHECKOUT)
     sources: List[str] = []
     skipped: List[str] = []
     for path in sorted(results_dir.glob("BENCH_*.json")):
@@ -434,7 +456,7 @@ def _run(args: argparse.Namespace) -> int:
         seed = seed_entry_from_baseline(args.seed_baseline)
         trajectory["entries"].insert(0, seed)
     ingested = ingest_results(args.results)
-    if not ingested["metrics"]:
+    if not ingested["sources"]:
         print(
             f"error: no ingestible BENCH_*.json under {args.results}",
             file=sys.stderr,

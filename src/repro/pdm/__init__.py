@@ -45,8 +45,8 @@ This package provides:
   round planning and charging stay in the machine, while a
   :class:`~repro.pdm.executors.base.RoundExecutor` moves the bytes — the
   default in-memory :class:`~repro.pdm.executors.base.SimulatedExecutor`,
-  a thread-per-disk real-file backend, or a process-pool backend, all
-  bit-identical in charged accounting (see ``docs/executors.md``).
+  or a thread-per-disk real-file backend, bit-identical in charged
+  accounting (see ``docs/executors.md``).
 * :mod:`~repro.pdm.faults` / :mod:`~repro.pdm.errors` — deterministic fault
   injection (disk outages, transient read errors, silent corruption,
   stragglers, all scheduled by logical round) plus the typed

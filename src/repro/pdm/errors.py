@@ -12,7 +12,8 @@ recovery code can distinguish the paper-relevant failure modes:
   makes lookups survivable despite this.
 * :class:`TransientIOError` — a read attempt failed but retrying later
   (a later round) may succeed.  The machine retries these itself up to
-  its ``retry_budget``, charging the extra rounds as ``retry_ios``.
+  ``retry_policy.max_attempts`` times, charging the extra rounds as
+  ``retry_ios``.
 * :class:`BlockCorruption` — a block's contents no longer match its
   checksum (silent corruption made detectable by verify-on-read; see
   :mod:`repro.pdm.block`).  Degraded dictionary reads treat the block as

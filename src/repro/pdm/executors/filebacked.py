@@ -45,8 +45,7 @@ from repro.pdm.executors.base import Addr, ReadResult, RoundExecutor
 
 
 def disk_log_path(directory: str, disk_id: int) -> str:
-    """The canonical per-disk log filename (shared with the process
-    executor so the two file backends are image-compatible)."""
+    """The canonical per-disk log filename."""
     return os.path.join(str(directory), f"disk-{disk_id:03d}.blk")
 
 

@@ -20,8 +20,9 @@ Event types
   writes fail with :class:`~repro.pdm.errors.DiskFailure`.
 * :class:`TransientWindow` — reads fail with
   :class:`~repro.pdm.errors.TransientIOError`, but the machine retries the
-  failed sub-batch in later rounds (up to ``machine.retry_budget`` extra
-  attempts); because retries advance the clock, short windows heal.
+  failed sub-batch in later rounds (up to
+  ``machine.retry_policy.max_attempts`` extra attempts); because retries
+  advance the clock, short windows heal.
 * :class:`SilentCorruption` — at its round, the payload of one block is
   deterministically scrambled *without* touching its checksum.  With
   ``machine.checksums`` on, verify-on-read surfaces this as
@@ -34,7 +35,7 @@ Event types
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.bits.mix import splitmix64
@@ -335,9 +336,14 @@ def attach_faults(
     metadata-only scrub, no I/O charged): data written before the attach
     carries no checksum, and an unsealed block verifies trivially — later
     corruption of it would be returned as truth.
+
+    ``retry_budget``, when given, sets ``machine.retry_policy``'s
+    ``max_attempts``.
     """
     if machine.faults is not None:
         raise RuntimeError("machine already has a fault injector attached")
+    if retry_budget is not None and retry_budget < 0:
+        raise ValueError(f"retry budget must be >= 0, got {retry_budget}")
     cache = getattr(machine, "cache", None)
     if cache is not None:
         # Degraded-mode reasoning assumes the medium holds every datum:
@@ -369,9 +375,9 @@ def attach_faults(
                         # on-medium checksum matches the logical one.
                         executor.sync_block((disk.disk_id, index))
     if retry_budget is not None:
-        if retry_budget < 0:
-            raise ValueError(f"retry budget must be >= 0, got {retry_budget}")
-        machine.retry_budget = retry_budget
+        machine.retry_policy = replace(
+            machine.retry_policy, max_attempts=retry_budget
+        )
     return injector
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bits.mix import derive
@@ -236,7 +236,7 @@ class AbstractDiskMachine:
         #: deterministic retry/backoff policy for transient read faults
         #: (:class:`repro.pdm.health.RetryPolicy`).  The default — three
         #: extra attempts, zero backoff — reproduces the legacy flat
-        #: ``retry_budget`` accounting exactly.
+        #: retry budget accounting exactly.
         self.retry_policy = RetryPolicy()
         #: optional :class:`repro.pdm.health.HealthTracker` (attach with
         #: :func:`repro.pdm.health.attach_health`); same one-``None``-check
@@ -261,20 +261,6 @@ class AbstractDiskMachine:
         self.executor.bind(self)
         if cache_blocks is not None:
             attach_cache(self, cache_blocks)
-
-    # -- retry policy ------------------------------------------------------
-
-    @property
-    def retry_budget(self) -> int:
-        """Extra read attempts allowed per batch (compatibility view of
-        :attr:`retry_policy`'s ``max_attempts``)."""
-        return self.retry_policy.max_attempts
-
-    @retry_budget.setter
-    def retry_budget(self, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"retry budget must be non-negative, got {value}")
-        self.retry_policy = replace(self.retry_policy, max_attempts=value)
 
     # -- repair attribution ------------------------------------------------
 
@@ -339,9 +325,9 @@ class AbstractDiskMachine:
 
     def close(self) -> None:
         """Release executor-held physical resources (worker threads, file
-        descriptors).  A no-op for the in-memory simulator; file- and
-        process-backed machines must be closed before their directory
-        goes away.  Idempotent."""
+        descriptors).  A no-op for the in-memory simulator; file-backed
+        machines must be closed before their directory goes away.
+        Idempotent."""
         self.executor.close()
 
     # -- allocation ---------------------------------------------------------
@@ -497,46 +483,22 @@ class AbstractDiskMachine:
         (``Disk.peek``); treat results as immutable — all mutation goes
         through :meth:`write_blocks`.
 
-        With a fault injector attached, transient errors are retried within
-        ``retry_budget`` (charged as ``retry_ios``); any failure that
-        survives retries raises its typed :class:`~repro.pdm.errors.IOFault`
-        (first failing address in batch order).  Callers prepared to recover
+        With a fault injector attached, transient errors are retried up to
+        ``retry_policy.max_attempts`` times (charged as ``retry_ios``); any
+        failure that survives retries raises its typed
+        :class:`~repro.pdm.errors.IOFault` (first failing address in batch
+        order).  Callers prepared to recover
         use :meth:`read_blocks_degraded` instead.
         """
-        cache = self.cache
-        if (
-            cache is None
-            and self.faults is None
-            and self.tracer is None
-            and not self.checksums
-            and self.executor.inline
-        ):
-            # Fast path: nothing attached and the physical store is the
-            # logical store, so skip the retry/fault/fill machinery
-            # entirely.  Same charges as the general path — rounds for
-            # the deduped set, one blocks_read per block.
-            unique = dict.fromkeys(map(tuple, addrs))
-            if not unique:
-                return {}
-            blocks: Dict[Addr, Block] = {}
-            disks = self.disks
-            num_disks = self.num_disks
-            void = self._void_block
-            for addr in unique:
-                disk_id = addr[0]
-                if not 0 <= disk_id < num_disks or addr[1] < 0:
-                    self._check_addr(addr)
-                blk = disks[disk_id]._blocks.get(addr[1])
-                blocks[addr] = void if blk is None else blk
-            self.stats.read_ios += self._batch_rounds(list(unique))
-            self.stats.blocks_read += len(unique)
-            return blocks
-        unique = list(dict.fromkeys(tuple(a) for a in addrs))
+        unique = list(dict.fromkeys(map(tuple, addrs)))
         if not unique:
             return {}
+        fast = self._read_unattached(unique, None)
+        if fast is not None:
+            return dict(zip(unique, fast))
         for addr in unique:
             self._check_addr(addr)
-        if cache is not None:
+        if self.cache is not None:
             blocks, failures = self._read_cached(unique)
         else:
             blocks, failures = self._read_batch(unique)
@@ -566,29 +528,50 @@ class AbstractDiskMachine:
         """
         if not unique:
             return []
-        if (
-            self.cache is None
-            and self.faults is None
-            and self.tracer is None
-            and not self.checksums
-            and self.executor.inline
-        ):
-            out: List[Block] = []
-            disks = self.disks
-            num_disks = self.num_disks
-            void = self._void_block
-            append = out.append
-            for addr in unique:
-                disk_id = addr[0]
-                if not 0 <= disk_id < num_disks or addr[1] < 0:
-                    self._check_addr(addr)
-                blk = disks[disk_id]._blocks.get(addr[1])
-                append(void if blk is None else blk)
-            self.stats.read_ios += rounds
-            self.stats.blocks_read += len(unique)
-            return out
+        fast = self._read_unattached(unique, rounds)
+        if fast is not None:
+            return fast
         fetched = self.read_blocks(unique)
         return [fetched[addr] for addr in unique]
+
+    def _read_unattached(
+        self, unique: Sequence[Addr], rounds: Optional[int]
+    ) -> Optional[List[Block]]:
+        """The shared fast path of :meth:`read_blocks` and
+        :meth:`read_planned_blocks`: blocks aligned with the deduplicated
+        ``unique``, or ``None`` when anything is attached (cache, faults,
+        tracer, checksums, non-inline executor) and the general path must
+        run.
+
+        With nothing attached the physical store is the logical store, so
+        the retry/fault/fill machinery is skipped entirely.  Same charges
+        as the general path: ``rounds`` (``_batch_rounds(unique)`` when
+        ``None``) and one ``blocks_read`` per block.
+        """
+        if (
+            self.cache is not None
+            or self.faults is not None
+            or self.tracer is not None
+            or self.checksums
+            or not self.executor.inline
+        ):
+            return None
+        out: List[Block] = []
+        disks = self.disks
+        num_disks = self.num_disks
+        void = self._void_block
+        append = out.append
+        for addr in unique:
+            disk_id = addr[0]
+            if not 0 <= disk_id < num_disks or addr[1] < 0:
+                self._check_addr(addr)
+            blk = disks[disk_id]._blocks.get(addr[1])
+            append(void if blk is None else blk)
+        if rounds is None:
+            rounds = self._batch_rounds(unique)
+        self.stats.read_ios += rounds
+        self.stats.blocks_read += len(unique)
+        return out
 
     def read_blocks_degraded(
         self, addrs: Iterable[Addr]
@@ -716,13 +699,13 @@ class AbstractDiskMachine:
                     faults.count("transient")
                     if health is not None:
                         err_kinds[addr[0]] = "transient"
-                    if attempt < self.retry_budget:
+                    if attempt < self.retry_policy.max_attempts:
                         retry.append(addr)
                     else:
                         failures[addr] = TransientIOError(
                             f"read of block {addr} still failing after "
                             f"{attempt} retries (budget "
-                            f"{self.retry_budget})",
+                            f"{self.retry_policy.max_attempts})",
                             addrs=[addr], disk=addr[0], clock=clock,
                         )
                     continue

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import bounds
+import repro.bounds as bounds
 
 
 class TestLemmaBounds:

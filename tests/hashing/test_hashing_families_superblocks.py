@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.families import PolynomialHashFamily, _next_prime
-from repro.hashing.superblocks import SuperblockArray
+from repro.pdm.superblocks import SuperblockArray
 from repro.pdm.machine import ParallelDiskMachine
 
 

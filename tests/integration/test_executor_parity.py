@@ -1,9 +1,10 @@
 """Differential executor equivalence (the Issue 9 headline invariant).
 
 Round planning and charging live entirely above the executor seam, so
-every backend — in-memory simulator, thread-per-disk real files, process
-pool — must produce *bit-identical* deterministic outputs for the same
-operation sequence: results, ``IOStats``, trace footprints (the recorded
+every backend — the in-memory simulator and the real-file executor, in
+both its thread-per-disk and its sequential (``workers=1``) mode — must
+produce *bit-identical* deterministic outputs for the same operation
+sequence: results, ``IOStats``, trace footprints (the recorded
 ``RoundPlan`` witness of every batch), healthy and under fault plans.
 These tests drive the same seeded workload through all three and compare
 everything; the threading smoke at the bottom hammers one file-backed
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.basic_dict import BasicDictionary
 from repro.core.facade import ParallelDiskDictionary
 from repro.faults import FaultPlan
+from repro.kernels import resolve_kernel
 from repro.pdm import (
     ParallelDiskHeadMachine,
     ParallelDiskMachine,
@@ -29,7 +31,8 @@ from repro.pdm import (
 from repro.pdm.errors import IOFault
 from repro.pdm.trace import attach
 
-EXECUTORS = ("simulated", "file", "process")
+#: ``file-seq`` is the file executor serving every disk from one lane
+EXECUTORS = ("simulated", "file", "file-seq")
 
 D = 4
 B = 8
@@ -39,7 +42,10 @@ BLOCKS_PER_DISK = 6
 def _make_executor(name, tmp_path, tag):
     if name == "simulated":
         return None
-    return create_executor(name, directory=str(tmp_path / f"{name}-{tag}"))
+    directory = str(tmp_path / f"{name}-{tag}")
+    if name == "file-seq":
+        return create_executor("file", directory=directory, workers=1)
+    return create_executor(name, directory=directory)
 
 
 def _fault_plan(seed):
@@ -115,7 +121,7 @@ def test_three_executors_bit_identical(
         finally:
             machine.close()
     assert observed["file"] == observed["simulated"]
-    assert observed["process"] == observed["simulated"]
+    assert observed["file-seq"] == observed["simulated"]
 
 
 @given(seed=st.integers(0, 2**32 - 1), faults=st.booleans())
@@ -136,7 +142,7 @@ def test_file_executor_property_parity(tmp_path_factory, seed, faults):
     assert observed["file"] == observed["simulated"]
 
 
-@pytest.mark.parametrize("name", ["file", "process"])
+@pytest.mark.parametrize("name", ["file"])
 def test_facade_level_parity(tmp_path, name):
     """Same dictionary workload through the facade: identical answers and
     identical aggregated I/O accounting, across rebuild generations."""
@@ -163,6 +169,15 @@ def test_facade_level_parity(tmp_path, name):
 
     baseline = run()
     assert run(executor=name, executor_dir=str(tmp_path / name)) == baseline
+
+
+def test_removed_backends_are_rejected(tmp_path):
+    """The process executor and the runtime Python kernel are gone: asking
+    for either by name is an error, not a silent fallback."""
+    with pytest.raises(ValueError):
+        create_executor("process", directory=str(tmp_path / "p"))
+    with pytest.raises(ValueError):
+        resolve_kernel("python")
 
 
 def test_file_backed_batch_lookups_match_simulated_twin(tmp_path):

@@ -1,18 +1,17 @@
 """Differential suite: kernel backends change the clock, never the run.
 
-Three copies of the same dictionary — ``kernel="off"`` (the scalar
-batch path), the pure-Python kernel, and (when importable) the numpy
-kernel — replay identical workloads on identical machines.  Everything
-observable must agree: per-key batch outcomes, the charged
-:class:`~repro.pdm.iostats.IOStats`, the per-batch ``OpCost``, and the
-round-packing witnesses recorded on the batch spans.  The comparison
-runs healthy, under a ``kill_disks`` fault plan, with a memory budget
-tiny enough to freeze the neighborhood memo, with a buffer pool attached
-(where the pool's ``CacheStats`` and final LRU order must agree too), on
-the file executor, and across mutation (a block's key column must never
-outlive its payload).  Single-key lookups are held to the same standard:
-searching a block's key column answers and charges exactly like scanning
-its payload.
+Two copies of the same dictionary — ``kernel="off"`` (the scalar batch
+path) and the default numpy kernel path — replay identical workloads on
+identical machines.  Everything observable must agree: per-key batch
+outcomes, the charged :class:`~repro.pdm.iostats.IOStats`, the per-batch
+``OpCost``, and the round-packing witnesses recorded on the batch spans.
+The comparison runs healthy, under a ``kill_disks`` fault plan, with a
+memory budget tiny enough to freeze the neighborhood memo, with a buffer
+pool attached (where the pool's ``CacheStats`` and final LRU order must
+agree too), on the file executor, and across mutation (a block's key
+column must never outlive its payload).  Single-key lookups are held to
+the same standard: searching a block's key column answers and charges
+exactly like scanning its payload.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import pytest
 from repro.core.basic_dict import BasicDictionary, _block_fragments
 from repro.core.interface import DegradedLookupError, LookupResult
 from repro.faults.plan import FaultPlan
-from repro.kernels import create_kernel
+from repro.kernels import NumpyKernel, PythonKernel, resolve_kernel
 from repro.pdm import create_executor
 from repro.pdm.faults import attach_faults
 from repro.pdm.block import Block
@@ -40,12 +39,14 @@ N_ITEMS = 96
 #: buffer-pool size for the cached replays, below the 32-bucket array
 POOL_BLOCKS = 12
 
-KERNELS = ["off", "python"]
-try:
-    create_kernel("numpy")
-    KERNELS.append("numpy")
-except ImportError:  # pragma: no cover - numpy is present in CI
-    pass
+#: the kernel paths replayed against the scalar twin (``kernel="off"``)
+KERNELS = ["numpy"]
+
+
+def _spec(kernel):
+    """A replay's ``kernel`` name as the dictionaries' argument: the numpy
+    path is their default (``None``)."""
+    return None if kernel == "numpy" else kernel
 
 
 def _build(
@@ -66,7 +67,7 @@ def _build(
         capacity=CAPACITY,
         degree=num_disks,
         seed=11,
-        kernel=kernel,
+        kernel=_spec(kernel),
     )
     items = {(13 + 101 * i) % U: f"v{i}" for i in range(N_ITEMS)}
     for k, v in sorted(items.items()):
@@ -161,7 +162,7 @@ def _run_replay(
     return observed
 
 
-@pytest.mark.parametrize("kernel", KERNELS[1:])
+@pytest.mark.parametrize("kernel", KERNELS)
 class TestKernelMatchesScalar:
     def test_healthy_replay(self, kernel):
         assert _run_replay(kernel) == _run_replay("off")
@@ -203,7 +204,7 @@ class TestKernelMatchesScalar:
         """``plan_unique_probe`` + ``rounds_for_counts`` equals the
         machine's own ``batch_rounds`` on the same address stream."""
         machine, d, items = _build(kernel)
-        kern = create_kernel(kernel)
+        kern = resolve_kernel(_spec(kernel))
         buckets = d.buckets
         keys = sorted(items)[:40]
         flat = d._neighborhoods.batch_local_indices(keys, kernel=kern)
@@ -251,7 +252,7 @@ def _column_blocks(machine):
 
 
 @pytest.mark.parametrize("k_fragments", [1, 2])
-@pytest.mark.parametrize("kernel", KERNELS[1:])
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_single_lookup_column_search_matches_payload_scan(kernel, k_fragments):
     """Twin dictionaries: in one a kernel batch lookup has given every
     probed block a key column, the other (kernel off) never builds one,
@@ -269,7 +270,7 @@ def test_single_lookup_column_search_matches_payload_scan(kernel, k_fragments):
         machine = ParallelDiskMachine(D, B)
         d = BasicDictionary(
             machine, universe_size=universe, capacity=4 * CAPACITY,
-            degree=D, k_fragments=k_fragments, seed=5, kernel=kern,
+            degree=D, k_fragments=k_fragments, seed=5, kernel=_spec(kern),
         )
         d.bulk_build(items)
         twins.append((machine, d))
@@ -307,7 +308,9 @@ def test_single_lookup_column_search_matches_payload_scan(kernel, k_fragments):
     assert found[0][1:3] == (True, "top-value")
 
 
-@pytest.mark.parametrize("kernel", KERNELS[1:])
+@pytest.mark.parametrize(
+    "kernel", [PythonKernel(), NumpyKernel()], ids=lambda k: k.name
+)
 def test_column_search_skips_unaligned_matches(kernel):
     """A key whose bytes straddle two column slots is not a match."""
     a = 0x1111111122222222
@@ -317,6 +320,6 @@ def test_column_search_skips_unaligned_matches(kernel):
     )
     blk = Block(1 << 12)
     blk.store([(a, 0, "x"), (b, 0, "y")], 64)
-    blk.key_column = create_kernel(kernel).store_column(blk.payload, 4)
+    blk.key_column = kernel.store_column(blk.payload, 4)
     assert _block_fragments([blk], straddle) == []
     assert _block_fragments([blk], b) == [(0, "y")]

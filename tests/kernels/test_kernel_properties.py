@@ -5,15 +5,15 @@ The batch kernels (:mod:`repro.kernels`) are only allowed to change the
 clock, never an answer — so each op is pinned here against the *scalar*
 function it replaces (``splitmix64``/``derive``, the seeded expanders'
 neighbor formulas, ``PolynomialHashFamily.__call__``, the batch planner's
-``dict.fromkeys`` dedup) under Hypothesis-generated inputs, for every
-available backend.  The differential suite
+``dict.fromkeys`` dedup) under Hypothesis-generated inputs, for both
+backends: numpy (the runtime one) and the Python reference loops it falls
+back to where vectorizing would not be exact.  The differential suite
 (``test_kernel_differential.py``) covers the dictionaries end to end;
 this file covers the ops in isolation, where shrinking is sharpest.
 """
 
 from array import array
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,15 +24,13 @@ from repro.expanders.random_graph import (
     SeededRandomExpander,
 )
 from repro.hashing.families import PolynomialHashFamily
-from repro.kernels import create_kernel
+from repro.kernels import NumpyKernel, PythonKernel
 
 _MASK64 = (1 << 64) - 1
 
-BACKENDS = [create_kernel("python")]
-try:
-    BACKENDS.append(create_kernel("numpy"))
-except ImportError:  # pragma: no cover - numpy is present in CI
-    pass
+#: the runtime backend and its reference loops (also its exactness
+#: fallback), each held to the scalar functions
+BACKENDS = [PythonKernel(), NumpyKernel()]
 
 
 def pytest_generate_tests(metafunc):
@@ -338,7 +336,6 @@ def test_largest_key_is_never_a_pad(kernel):
     assert kernel.match_candidates(store, [0, 1], [7]) == []
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="numpy backend unavailable")
 @settings(max_examples=40, deadline=None)
 @given(plan=probe_plans())
 def test_backends_agree_on_plan(plan):

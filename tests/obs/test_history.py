@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.history import (
     attribute_changes,
+    count_code_lines,
     extract_latency,
     extract_throughput,
     ingest_results,
@@ -76,6 +77,25 @@ class TestExtractors:
         assert out["skipped"] == ["BENCH_mystery"]
         assert "latency.op.lookup.p50_us" in out["metrics"]
         assert "throughput.sequential_ops_per_sec" in out["metrics"]
+
+    def test_code_line_counts_are_exact_and_lower_is_better(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\n")
+        (tmp_path / "src" / "pkg" / "notes.txt").write_text("1\n2\n3\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_a.py").write_text("def test():\n    pass\n")
+        assert count_code_lines(tmp_path) == {
+            "code.src_lines": 3,
+            "code.tests_lines": 2,
+        }
+        assert count_code_lines(tmp_path / "missing") == {}
+        assert metric_sense("code.src_lines") is False
+        assert not is_wall_metric("code.tests_lines")
+        # ingest reports the checkout's own counts beside the artifacts
+        metrics = ingest_results(tmp_path)["metrics"]
+        assert metrics["code.src_lines"] > 0
+        assert metrics["code.tests_lines"] > 0
 
 
 class TestMetricSense:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pdm.cache import attach_cache
+from repro.pdm.faults import attach_faults
 from repro.pdm.health import (
     ALLOWED_TRANSITIONS,
     FAILED,
@@ -38,13 +39,21 @@ class TestRetryPolicy:
         assert all(p.backoff_rounds(i) == 0 for i in range(10))
         assert RetryPolicy.flat(3) == p
 
-    def test_machine_retry_budget_property_round_trips(self):
+    def test_attach_faults_retry_budget_sets_policy_attempts(self):
         m = ParallelDiskMachine(4, 4)
-        assert m.retry_budget == 3
-        m.retry_budget = 5
-        assert m.retry_policy.max_attempts == 5
+        assert m.retry_policy.max_attempts == 3
+        m.retry_policy = RetryPolicy.exponential(
+            base=1, factor=2, cap=8, max_attempts=2
+        )
+        attach_faults(m, [], retry_budget=5)
+        assert m.retry_policy == RetryPolicy.exponential(
+            base=1, factor=2, cap=8, max_attempts=5
+        )
+        fresh = ParallelDiskMachine(4, 4)
         with pytest.raises(ValueError):
-            m.retry_budget = -1
+            attach_faults(fresh, [], retry_budget=-1)
+        assert fresh.faults is None
+        assert fresh.retry_policy == RetryPolicy()
 
     def test_exponential_waits_grow_and_cap(self):
         p = RetryPolicy.exponential(base=1, factor=2, cap=8)
