@@ -36,6 +36,7 @@ import time
 from repro.analysis.reporting import render_table
 from repro.core.basic_dict import BasicDictionary
 from repro.kernels import resolve_kernel
+from repro.pdm.executors.filebacked import FileExecutor
 from repro.pdm.machine import ParallelDiskMachine
 from repro.workloads.access import zipf_accesses
 
@@ -60,15 +61,21 @@ BATCHED_SPEEDUP_FLOOR = 3.0
 TIMING_REPEATS = 7
 
 
-def _build(cache_blocks=None, kernel=None):
-    machine = ParallelDiskMachine(D, B, cache_blocks=cache_blocks)
+def _build(cache_blocks=None, kernel=None, directory=None):
+    """The benchmark's dictionary, on simulated disks or, given a
+    ``directory``, on the file executor.  Values are small ints, so the
+    file executor writes its buckets as columnar frames."""
+    executor = None if directory is None else FileExecutor(str(directory))
+    machine = ParallelDiskMachine(
+        D, B, cache_blocks=cache_blocks, executor=executor
+    )
     d = BasicDictionary(
         machine, universe_size=U, capacity=CAPACITY, degree=D, seed=6,
         kernel=kernel,
     )
     keys = random.Random(6).sample(range(U), CAPACITY)
     for k in keys:
-        d.insert(k, None)
+        d.insert(k, k)
     return machine, d, keys
 
 
@@ -226,7 +233,9 @@ def test_throughput_skew_report(benchmark, save_table, results_dir):
     )
 
 
-def test_throughput_batched_kernel(benchmark, save_table, results_dir):
+def test_throughput_batched_kernel(
+    benchmark, save_table, results_dir, tmp_path
+):
     """The vectorized batch fast path (``repro.kernels``), measured in-run
     against both the sequential scalar baseline and the kernel-off batched
     path on identical streams, and gated on the two acceptance criteria:
@@ -239,6 +248,13 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     and pool hits must be bit-identical there too, and the cached over
     uncached kernel throughput is reported (not gated) against the
     ROADMAP target of cached batched within 1.2x of uncached batched.
+
+    The ``file`` subsection replays the same streams on the same
+    structure served by the file executor (page-cache reads of columnar
+    frames): its charged rounds must equal the simulated kernel row's
+    exactly, and its throughput over the simulated row is reported as
+    ``file_vs_simulated_ops`` (not gated) against the ROADMAP target of
+    file-backed batched lookups within 3x of simulated.
 
     All figures come from the same process on the same streams
     (best-of-``TIMING_REPEATS`` wall clock), so the speedup ratio survives
@@ -293,6 +309,18 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     )
     cvec_ops = n / _timed(lambda: _replay_all(cd_vec), repeats=TIMING_REPEATS)
 
+    # The file-backed twin is built only now, so its log writes and idle
+    # lane threads cannot disturb the simulated timings above.
+    fmachine_vec, fd_vec, _ = _build(directory=tmp_path / "disks")
+    try:
+        _replay_batched(fd_vec, streams[0])
+        fvec_rounds, _ = _charged(fmachine_vec, fd_vec)
+        fvec_ops = n / _timed(
+            lambda: _replay_all(fd_vec), repeats=TIMING_REPEATS
+        )
+    finally:
+        fmachine_vec.close()
+
     section = {
         "kernel": kern.name,
         "sequential_ops_per_sec": round(seq_ops, 1),
@@ -311,6 +339,12 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
             "charged_rounds_equal": cscalar_rounds == cvec_rounds,
             "cache_hits_equal": cscalar_hits == cvec_hits,
             "vs_uncached_ops": round(cvec_ops / vec_ops, 3),
+        },
+        "file": {
+            "ops_per_sec": round(fvec_ops, 1),
+            "rounds_per_op": round(fvec_rounds / n, 4),
+            "charged_rounds_equal": fvec_rounds == vec_rounds,
+            "file_vs_simulated_ops": round(fvec_ops / vec_ops, 3),
         },
     }
 
@@ -337,6 +371,9 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
             [f"batched + {CACHE_BLOCKS}-block pool, kernel {kern.name}",
              f"{cvec_ops:,.0f}", f"{cvec_ops / seq_ops:.2f}x",
              str(cvec_rounds)],
+            [f"batched, file executor, kernel {kern.name}",
+             f"{fvec_ops:,.0f}", f"{fvec_ops / seq_ops:.2f}x",
+             str(fvec_rounds)],
         ],
     ))
 
@@ -348,6 +385,10 @@ def test_throughput_batched_kernel(benchmark, save_table, results_dir):
     assert (cscalar_rounds, cscalar_hits) == (cvec_rounds, cvec_hits), (
         f"cached rounds/hits diverged: scalar {cscalar_rounds}/"
         f"{cscalar_hits} vs {kern.name} {cvec_rounds}/{cvec_hits}"
+    )
+    assert fvec_rounds == vec_rounds, (
+        f"file-backed rounds diverged: file {fvec_rounds} vs simulated "
+        f"{vec_rounds}"
     )
     assert section["speedup_vs_sequential"] >= BATCHED_SPEEDUP_FLOOR, (
         f"batched kernel path {section['speedup_vs_sequential']}x < "

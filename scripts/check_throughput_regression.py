@@ -29,8 +29,11 @@ path must stay >= 3x the in-run sequential baseline, and its charged
 rounds must equal the scalar batched path's exactly.  Its ``cached``
 subsection (the same comparison with a buffer pool on both machines)
 adds one more: charged rounds *and* pool hits equal to the kernel-off
-path's.  The cached-over-uncached kernel throughput is printed as
-information only.
+path's.  Its ``file`` subsection (the same streams on the file
+executor) adds another: charged rounds equal to the simulated kernel
+row's.  The cached-over-uncached and file-over-simulated kernel
+throughputs are printed as information only, beside their ROADMAP
+targets.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ BATCHED_GATES = (
     (("speedup_vs_scalar_batched",), False, 0.50),
 )
 BATCHED_SPEEDUP_FLOOR = 3.0
+#: ROADMAP target: file-backed batched lookups within this factor of
+#: simulated ones (reported, not gated)
+FILE_VS_SIMULATED_TARGET = 3.0
 
 
 def _dig(obj, path):
@@ -117,6 +123,7 @@ def _check_batched(current, baseline, failures):
     if not ok:
         failures.append("batched/charged_rounds_equal")
     _check_batched_cached(batched.get("cached"), failures)
+    _check_batched_file(batched.get("file"), failures)
     # Baseline-relative regression gates.
     base = baseline.get("batched")
     if base is None:
@@ -149,6 +156,29 @@ def _check_batched_cached(cached, failures):
         print(
             f"  [info] batched cached/uncached ops: {ratio:g} "
             f"(uncached/cached {1 / ratio:.2f}x, target <= 1.2x; not gated)"
+        )
+
+
+def _check_batched_file(section, failures):
+    """Absolute gate on the file-executor row: it must charge the
+    simulated kernel row's rounds exactly."""
+    if section is None:
+        print("  [warn] no 'batched.file' section in current report")
+        return
+    value = section.get("charged_rounds_equal")
+    ok = value is True
+    print(
+        f"  [{'ok' if ok else 'FAIL'}] batched/file.charged_rounds_equal: "
+        f"{value} (the file executor must charge the simulated rounds)"
+    )
+    if not ok:
+        failures.append("batched/file.charged_rounds_equal")
+    ratio = section.get("file_vs_simulated_ops")
+    if ratio:
+        print(
+            f"  [info] batched file/simulated ops: {ratio:g} "
+            f"(simulated/file {1 / ratio:.2f}x, target <= "
+            f"{FILE_VS_SIMULATED_TARGET:g}x; not gated)"
         )
 
 

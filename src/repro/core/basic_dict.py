@@ -87,26 +87,27 @@ def _block_fragments(blocks, key: int) -> List[Tuple[int, Any]]:
     """``(t, fragment)`` of every item of ``key`` in ``blocks``, in block
     then slot order.
 
-    A block that already carries a key column (built by an earlier batch
-    lookup) is searched with one 8-aligned bytes search; any other
-    block's payload is scanned.  A single probe never builds a column.
+    A block that carries a key column (built by an earlier batch lookup,
+    or read from a columnar frame) is searched with one 8-aligned bytes
+    search before its payload is touched, and only its matching slots
+    are read; any other block's payload is scanned.  A single probe never
+    builds a column.
     """
     needle = key.to_bytes(8, "little") if key < _COLUMN_PAD else None
     out: List[Tuple[int, Any]] = []
     for blk in blocks:
-        payload = blk.payload
-        if not payload:
-            continue
         column = blk.key_column
         if column is None or needle is None:
-            for item in payload:
-                if item[0] == key:
-                    out.append((item[1], item[2]))
+            payload = blk.payload
+            if payload:
+                for item in payload:
+                    if item[0] == key:
+                        out.append((item[1], item[2]))
             continue
         i = column.find(needle)
         while i >= 0:
             if not i & 7:
-                item = payload[i >> 3]
+                item = blk.item(i >> 3)
                 out.append((item[1], item[2]))
             i = column.find(needle, i + 1)
     return out
@@ -396,7 +397,9 @@ class BasicDictionary(Dictionary):
            blocks_read and buffer-pool hits, fills and LRU order);
         4. batch key matching of each key against its own candidate
            blocks' key columns (``match_candidates`` == the per-key
-           fragment scan).  A block without a column gets one here
+           fragment scan), then reading only the matched slots.  A block
+           without a column of this bucket width — never batch-read, or
+           read from a frame padded to a different width — gets one here
            (:meth:`~repro.kernels.base.Kernel.store_column`) and keeps it
            until its payload is replaced.
         """
@@ -427,11 +430,15 @@ class BasicDictionary(Dictionary):
             blocks = machine.read_planned_blocks(unique, rounds)
             with span(machine, "kernel.match", backend=backend):
                 width = buckets.capacity_items
+                size = 8 * width
                 columns = [blk.key_column for blk in blocks]
-                if None in columns:
-                    for u, blk in enumerate(blocks):
-                        if columns[u] is None:
-                            columns[u] = self._key_column(blk, kernel)
+                if None in columns or set(map(len, columns)) != {size}:
+                    columns = [
+                        column
+                        if column is not None and len(column) == size
+                        else self._key_column(blk, kernel)
+                        for blk, column in zip(blocks, columns)
+                    ]
                 matches = kernel.match_candidates(
                     kernel.new_column_store(columns, width), inverse, distinct
                 )
@@ -439,7 +446,7 @@ class BasicDictionary(Dictionary):
                 [None] * len(distinct)
             )
             for qi, ci, slot in matches:
-                item = blocks[ci].payload[slot]
+                item = blocks[ci].item(slot)
                 frags = per_key[qi]
                 if frags is None:
                     per_key[qi] = frags = []

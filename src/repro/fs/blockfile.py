@@ -26,13 +26,27 @@ The frame layout is fixed-endian (``<``) and versioned::
 
     magic "RBLK" | version u8 | flags u8 | reserved u16
     block_index i64 | used_bits i64 | checksum u64 | payload_len u32
-    payload (pickle, payload_len bytes)
-    crc32 u32   # over header + payload
+    body (payload_len bytes)
+    crc32 u32   # over header + body
 
 ``flags`` bit 0 records whether the block carried a seal
 (:attr:`repro.pdm.block.Block.checksum` is ``None`` otherwise); the
 64-bit seal itself rides in the header so verify-on-read above the
 executor sees exactly what the logical block carried.
+
+``flags`` bit 1 selects the body.  A bucket payload — a non-empty list
+of ``(key, t, fragment)`` tuples of plain ``int`` values, each fitting
+``uint64``, every key below the ``2**64 - 1`` key-column pad — is
+written *columnar*: three little-endian ``uint64`` lanes of ``n`` slots
+each::
+
+    keys  u64[n] | tags  u64[n] | fragments  u64[n]     # 24 n bytes
+
+so the key lane, padded with ``2**64 - 1``, already *is* the block's key
+column (:meth:`repro.kernels.base.Kernel.store_column`) and a read needs
+no decode before the kernel matches keys (:class:`ItemLanes`).  Every
+other payload is pickled (bit 1 clear), which is also what every frame
+written before columnar bodies existed holds, so those still decode.
 """
 
 from __future__ import annotations
@@ -52,9 +66,19 @@ HEADER_SIZE = _HEADER.size
 _CRC = struct.Struct("<I")
 CRC_SIZE = _CRC.size
 _FLAG_SEALED = 0x01
+_FLAG_COLUMNAR = 0x02
 #: pinned pickle protocol: frames written by one interpreter must decode
 #: in later sessions too.
 PICKLE_PROTOCOL = 4
+
+#: the key-column pad (:meth:`repro.kernels.base.Kernel.store_column`):
+#: a key equal to it has no columnar form
+_PAD_KEY = (1 << 64) - 1
+_PAD_SLOT = _PAD_KEY.to_bytes(8, "little")
+#: bytes per item of a columnar body: one slot in each of three lanes
+ITEM_BYTES = 24
+_U64 = struct.Struct("<Q")
+_INTS_ONLY = {int}
 
 #: index sentinel for a frame whose tail was torn off (crash mid-write):
 #: the header survived, so we know *which* block is damaged and raise
@@ -62,12 +86,91 @@ PICKLE_PROTOCOL = 4
 _TORN = (-1, -1)
 
 
+class ItemLanes:
+    """The undecoded body of a columnar frame: ``count`` bucket items as
+    key, tag and fragment lanes of little-endian ``uint64`` slots.
+
+    :meth:`key_column` is a byte slice of the frame, :meth:`item` decodes
+    one slot, and :meth:`items` decodes the whole payload exactly as it
+    was written: a list of ``(key, t, fragment)`` tuples of ``int``.
+    """
+
+    __slots__ = ("_data", "_start", "_count")
+
+    def __init__(self, data: bytes, start: int, count: int):
+        self._data = data
+        self._start = start
+        self._count = count
+
+    def key_column(self, width: int) -> Optional[bytes]:
+        """The key lane padded with ``2**64 - 1`` to ``width`` slots —
+        byte-identical to ``store_column(self.items(), width)`` — or
+        ``None`` when the lane holds more than ``width`` keys."""
+        count = self._count
+        if count > width:
+            return None
+        start = self._start
+        return self._data[start : start + 8 * count] + _PAD_SLOT * (
+            width - count
+        )
+
+    def item(self, slot: int) -> Tuple[int, int, int]:
+        """The ``(key, t, fragment)`` item in ``slot``."""
+        count = self._count
+        if not 0 <= slot < count:
+            raise IndexError(f"slot {slot} of a {count}-item frame")
+        data = self._data
+        offset = self._start + 8 * slot
+        lane = 8 * count
+        unpack = _U64.unpack_from
+        return (
+            unpack(data, offset)[0],
+            unpack(data, offset + lane)[0],
+            unpack(data, offset + 2 * lane)[0],
+        )
+
+    def items(self) -> List[Tuple[int, int, int]]:
+        count = self._count
+        values = struct.unpack_from(f"<{3 * count}Q", self._data, self._start)
+        return list(
+            zip(values[:count], values[count : 2 * count], values[2 * count :])
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"ItemLanes({self.items()!r})"
+
+
+def _columnar_body(payload: Any) -> Optional[bytes]:
+    """The three-lane body of a bucket payload, or ``None`` when the
+    payload has no columnar form and is pickled instead."""
+    if type(payload) is not list or not payload:
+        return None
+    for item in payload:
+        if type(item) is not tuple or len(item) != 3:
+            return None
+    keys, tags, fragments = zip(*payload)
+    values = keys + tags + fragments
+    # ``type is int`` keeps bools (and other int subclasses) pickled, so a
+    # decoded payload matches the written one type for type.
+    if set(map(type, values)) != _INTS_ONLY or _PAD_KEY in keys:
+        return None
+    try:
+        return struct.pack(f"<{len(values)}Q", *values)
+    except struct.error:  # a value below 0 or above 2**64 - 1
+        return None
+
+
 def encode_frame(
     block_index: int, payload: Any, used_bits: int, checksum: Optional[int]
 ) -> bytes:
-    """One self-describing frame for ``block_index``."""
-    body = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
+    """One self-describing frame for ``block_index``: a columnar body for
+    a bucket payload of ``uint64`` items, a pickled one otherwise."""
     flags = 0 if checksum is None else _FLAG_SEALED
+    body = _columnar_body(payload)
+    if body is None:
+        body = pickle.dumps(payload, protocol=PICKLE_PROTOCOL)
+    else:
+        flags |= _FLAG_COLUMNAR
     header = _HEADER.pack(
         MAGIC, VERSION, flags, 0, block_index, used_bits,
         checksum if checksum is not None else 0, len(body),
@@ -75,44 +178,65 @@ def encode_frame(
     return header + body + _CRC.pack(zlib.crc32(header + body))
 
 
+def _where(path: str, block_index: Optional[int]) -> str:
+    return f"block {block_index} of {path}" if block_index is not None else path
+
+
 def decode_frame(
     data: bytes, *, path: str = "?", block_index: Optional[int] = None
 ) -> Tuple[Any, int, Optional[int]]:
     """``(payload, used_bits, checksum)`` of one frame, CRC-verified.
 
-    Raises :class:`~repro.pdm.errors.BlockCorruption` for anything that is
-    not a bit-exact frame: short reads, bad magic, CRC mismatch, or a
-    payload that no longer unpickles.
+    The payload of a columnar frame comes back undecoded, as
+    :class:`ItemLanes`; a pickled frame's payload comes back as the
+    object that was written.  Raises
+    :class:`~repro.pdm.errors.BlockCorruption` for anything that is not a
+    bit-exact frame: short reads, bad magic, CRC mismatch, a columnar
+    body that is not a whole number of items, or a pickled body that no
+    longer unpickles.
     """
-    where = f"block {block_index} of {path}" if block_index is not None else path
     if len(data) < HEADER_SIZE + CRC_SIZE:
         raise BlockCorruption(
-            f"torn frame at {where}: {len(data)} bytes is shorter than a "
-            f"frame header"
+            f"torn frame at {_where(path, block_index)}: {len(data)} bytes "
+            f"is shorter than a frame header"
         )
     magic, version, flags, _, index, used_bits, checksum, payload_len = (
         _HEADER.unpack_from(data)
     )
     if magic != MAGIC or version != VERSION:
         raise BlockCorruption(
-            f"bad frame magic/version at {where}: {magic!r} v{version}"
+            f"bad frame magic/version at {_where(path, block_index)}: "
+            f"{magic!r} v{version}"
         )
     end = HEADER_SIZE + payload_len
     if len(data) < end + CRC_SIZE:
         raise BlockCorruption(
-            f"torn frame at {where}: header claims {payload_len} payload "
-            f"bytes but only {len(data) - HEADER_SIZE - CRC_SIZE} are present"
+            f"torn frame at {_where(path, block_index)}: header claims "
+            f"{payload_len} payload bytes but only "
+            f"{len(data) - HEADER_SIZE - CRC_SIZE} are present"
         )
     (crc,) = _CRC.unpack_from(data, end)
     if crc != zlib.crc32(data[:end]):
-        raise BlockCorruption(f"frame CRC mismatch at {where}")
+        raise BlockCorruption(
+            f"frame CRC mismatch at {_where(path, block_index)}"
+        )
+    seal = checksum if flags & _FLAG_SEALED else None
+    if flags & _FLAG_COLUMNAR:
+        count, ragged = divmod(payload_len, ITEM_BYTES)
+        if ragged or not count:
+            raise BlockCorruption(
+                f"columnar frame at {_where(path, block_index)} holds "
+                f"{payload_len} body bytes, not a positive whole number of "
+                f"{ITEM_BYTES}-byte items"
+            )
+        return ItemLanes(data, HEADER_SIZE, count), used_bits, seal
     try:
         payload = pickle.loads(data[HEADER_SIZE:end])
     except Exception as exc:
         raise BlockCorruption(
-            f"frame payload at {where} no longer unpickles: {exc!r}"
+            f"frame payload at {_where(path, block_index)} no longer "
+            f"unpickles: {exc!r}"
         ) from exc
-    seal = checksum if flags & _FLAG_SEALED else None
     return payload, used_bits, seal
 
 
@@ -237,7 +361,9 @@ class BlockLogFile:
     def read_block(
         self, block_index: int
     ) -> Optional[Tuple[Any, int, Optional[int]]]:
-        """``(payload, used_bits, checksum)`` or ``None`` if never written."""
+        """``(payload, used_bits, checksum)`` or ``None`` if never written;
+        a columnar frame's payload is its :class:`ItemLanes`
+        (:func:`decode_frame`)."""
         extent = self.frame_extent(block_index)
         if extent is None:
             return None

@@ -90,9 +90,13 @@ class Block:
         #: fill holds the fetched Block itself.
         self.version: int = _next_version()
         #: the payload's item keys as a little-endian ``uint64`` byte
-        #: string padded with ``2**64 - 1`` to the bucket width
-        #: (:meth:`repro.kernels.base.Kernel.store_column`), built by the
-        #: first batch lookup that reads the block; ``None`` until then.
+        #: string padded with ``2**64 - 1`` to a bucket width
+        #: (:meth:`repro.kernels.base.Kernel.store_column`); ``None``
+        #: until something builds it.  An in-memory block gets it from the
+        #: first batch lookup that reads it; a :class:`FrameBlock` arrives
+        #: with the key lane of its frame, padded to the machine's
+        #: ``block_items``.  A reader whose bucket width differs must
+        #: check the length (8 bytes per slot) before trusting it.
         #: :meth:`store` and :meth:`clear` drop it with the payload.
         self.key_column: Optional[bytes] = None
 
@@ -130,6 +134,10 @@ class Block:
         self.version = _next_version()
         self.key_column = None
 
+    def item(self, slot: int) -> Any:
+        """Item ``slot`` of a bucket payload (a list of items)."""
+        return self.payload[slot]
+
     # -- integrity ----------------------------------------------------------
 
     def seal(self) -> int:
@@ -153,3 +161,56 @@ class Block:
             f"Block(used={self.used_bits}/{self.capacity_bits} bits, "
             f"payload={self.payload!r})"
         )
+
+
+_payload_slot = Block.__dict__["payload"]
+
+
+class FrameBlock(Block):
+    """A block read from a columnar frame, decoded only as far as it is
+    used.
+
+    Only the file executor makes these.  ``lanes`` is the frame's
+    undecoded body (:class:`repro.fs.blockfile.ItemLanes`, or anything
+    with its ``items()`` and ``item(slot)``).  The block arrives with its
+    key column, so a batch lookup matches keys without decoding; an
+    :meth:`item` read decodes one slot; the first :attr:`payload` read
+    decodes all of them, and from then on the block behaves exactly like
+    a :class:`Block` holding that list.  Checksums, pool fills and fault
+    corruption read :attr:`payload` and so see the decoded items.
+    """
+
+    __slots__ = ("_lanes",)
+
+    def __init__(
+        self,
+        capacity_bits: int,
+        lanes: Any,
+        used_bits: int,
+        key_column: Optional[bytes],
+    ):
+        super().__init__(capacity_bits)
+        if not 0 <= used_bits <= capacity_bits:
+            self.store(None, used_bits)  # raises the typed error
+        self.used_bits = used_bits
+        self._lanes = lanes
+        self.key_column = key_column
+
+    @property
+    def payload(self) -> Any:
+        lanes = self._lanes
+        if lanes is not None:
+            _payload_slot.__set__(self, lanes.items())
+            self._lanes = None
+        return _payload_slot.__get__(self, FrameBlock)
+
+    @payload.setter
+    def payload(self, value: Any) -> None:
+        self._lanes = None
+        _payload_slot.__set__(self, value)
+
+    def item(self, slot: int) -> Any:
+        lanes = self._lanes
+        if lanes is None:
+            return _payload_slot.__get__(self, FrameBlock)[slot]
+        return lanes.item(slot)

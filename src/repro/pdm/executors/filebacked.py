@@ -38,8 +38,8 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.fs.blockfile import BlockLogFile
-from repro.pdm.block import Block, BlockOverflowError
+from repro.fs.blockfile import BlockLogFile, ItemLanes
+from repro.pdm.block import Block, BlockOverflowError, FrameBlock
 from repro.pdm.errors import BlockCorruption, IOFault
 from repro.pdm.executors.base import Addr, ReadResult, RoundExecutor
 
@@ -154,6 +154,7 @@ class FileExecutor(RoundExecutor):
                 time.sleep(self.transfer_delay_ns * len(addrs) / 1e9)
             log = self._logs[disk_id]
             block_bits = self.machine.block_bits
+            width = self.machine.block_items
             for addr in addrs:
                 try:
                     record = log.read_block(addr[1])
@@ -164,9 +165,17 @@ class FileExecutor(RoundExecutor):
                     out[addr] = None
                     continue
                 payload, used_bits, checksum = record
-                blk = Block(block_bits)
                 try:
-                    blk.store(payload, used_bits)
+                    if type(payload) is ItemLanes:
+                        # The frame's key lane is the block's key column;
+                        # items decode only when something reads them.
+                        blk = FrameBlock(
+                            block_bits, payload, used_bits,
+                            payload.key_column(width),
+                        )
+                    else:
+                        blk = Block(block_bits)
+                        blk.store(payload, used_bits)
                 except (BlockOverflowError, ValueError) as exc:
                     out[addr] = BlockCorruption(
                         f"frame for block {addr} does not fit this "

@@ -18,8 +18,10 @@ import pytest
 from repro.fs.blockfile import (
     CRC_SIZE,
     HEADER_SIZE,
+    ITEM_BYTES,
     MAGIC,
     BlockLogFile,
+    ItemLanes,
     decode_frame,
     encode_frame,
 )
@@ -243,3 +245,143 @@ class TestFrameCodec:
         frame[-CRC_SIZE:] = zlib.crc32(body).to_bytes(4, "little")
         with pytest.raises(BlockCorruption):
             decode_frame(bytes(frame))
+
+
+def _columnar(payload):
+    """Whether ``encode_frame`` chose the columnar body for ``payload``."""
+    decoded = decode_frame(encode_frame(0, payload, 8, None))[0]
+    return isinstance(decoded, ItemLanes)
+
+
+class TestColumnarFrames:
+    """Bucket payloads of uint64 triples take the three-lane body; every
+    other payload stays pickled, and both decode to what was written."""
+
+    TOP_KEY = (1 << 64) - 2  # the largest key below the column pad
+    TOP = (1 << 64) - 1
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [(1, 0, 2)],
+            [(0, 0, 0)],
+            [(5, 0, (1 << 64) - 1), (6, 1, 0)],
+            [((1 << 64) - 2, 3, 9)],
+            [(k, k % 3, k * 1_000_003) for k in range(32)],
+        ],
+    )
+    def test_int_triples_are_columnar_and_round_trip(self, payload):
+        frame = encode_frame(4, payload, 64 * len(payload), 31)
+        lanes, bits, seal = decode_frame(frame)
+        assert isinstance(lanes, ItemLanes)
+        assert (bits, seal) == (64 * len(payload), 31)
+        items = lanes.items()
+        assert items == payload
+        assert [type(v) for it in items for v in it] == [int] * (
+            3 * len(payload)
+        )
+        assert all(type(it) is tuple for it in items)
+        assert [lanes.item(s) for s in range(len(payload))] == payload
+        with pytest.raises(IndexError):
+            lanes.item(len(payload))
+
+    def test_body_is_three_lanes(self):
+        frame = encode_frame(0, [(1, 2, 3), (4, 5, 6)], 16, None)
+        body = frame[HEADER_SIZE:-CRC_SIZE]
+        assert len(body) == 2 * ITEM_BYTES
+        assert body == b"".join(
+            v.to_bytes(8, "little") for v in (1, 4, 2, 5, 3, 6)
+        )
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [(True, 0, 1)],
+            [(1, False, 1)],
+            [(1, 0, True)],
+            [(-1, 0, 1)],
+            [(1, 0, -5)],
+            [(1, 0, 1 << 64)],
+            [(1 << 64, 0, 1)],
+            [((1 << 64) - 1, 0, 1)],  # the pad key itself
+            [[1, 0, 1]],
+            [(1, 0)],
+            [(1, 0, 1, 2)],
+            [(1, 0, "x")],
+            [(1, 0, None)],
+            [(1, 0, 1), "x"],
+            [],
+            None,
+            ("tuple", "not", "list"),
+        ],
+    )
+    def test_everything_else_is_pickled(self, payload):
+        assert not _columnar(payload)
+        assert decode_frame(encode_frame(1, payload, 8, None)) == (
+            payload, 8, None
+        )
+
+    def test_key_column_matches_store_column(self):
+        from repro.kernels.base import PythonKernel
+
+        payload = [(9, 0, 1), (self.TOP_KEY, 1, self.TOP), (0, 0, 0)]
+        lanes = decode_frame(encode_frame(0, payload, 24, None))[0]
+        kernel = PythonKernel()
+        for width in (3, 4, 32):
+            assert lanes.key_column(width) == kernel.store_column(
+                payload, width
+            )
+        assert lanes.key_column(2) is None  # more keys than slots
+
+    def test_crc_flip_raises(self):
+        frame = bytearray(encode_frame(0, [(1, 0, 2), (3, 0, 4)], 16, None))
+        frame[HEADER_SIZE + 9] ^= 0x01
+        with pytest.raises(BlockCorruption):
+            decode_frame(bytes(frame))
+
+    def test_torn_tail_raises(self):
+        frame = encode_frame(0, [(1, 0, 2), (3, 0, 4)], 16, None)
+        for cut in (1, CRC_SIZE, CRC_SIZE + 8, len(frame) - HEADER_SIZE):
+            with pytest.raises(BlockCorruption):
+                decode_frame(frame[:-cut])
+
+    @pytest.mark.parametrize("body_len", [0, 8, ITEM_BYTES + 1, 47])
+    def test_ragged_columnar_body_raises(self, body_len):
+        import struct
+        import zlib
+
+        # A columnar header over a body that is not a positive whole
+        # number of items, with a valid CRC: only the lane check sees it.
+        header = struct.pack(
+            "<4sBBHqqQI", MAGIC, 1, 0x02, 0, 0, 8, 0, body_len
+        )
+        data = header + bytes(body_len)
+        frame = data + zlib.crc32(data).to_bytes(4, "little")
+        with pytest.raises(BlockCorruption):
+            decode_frame(frame)
+
+    def test_hand_built_pickle_frame_of_bucket_payload_decodes(self):
+        """A frame in the pickle-only format (flags without the columnar
+        bit) of a bucket payload still decodes to that payload."""
+        import pickle
+        import struct
+        import zlib
+
+        payload = [(7, 0, 70), (8, 1, 80)]
+        body = pickle.dumps(payload, protocol=4)
+        header = struct.pack(
+            "<4sBBHqqQI", MAGIC, 1, 0x01, 0, 3, 128, 0xABC, len(body)
+        )
+        frame = header + body + zlib.crc32(header + body).to_bytes(4, "little")
+        decoded, bits, seal = decode_frame(frame)
+        assert decoded == payload and not isinstance(decoded, ItemLanes)
+        assert (bits, seal) == (128, 0xABC)
+
+    def test_log_read_block_serves_lanes(self, log_path):
+        payload = [(11, 0, 5), (12, 0, 6)]
+        with BlockLogFile(log_path) as log:
+            log.append_block(2, payload, 128, None)
+        with BlockLogFile(log_path) as log:
+            lanes, bits, seal = log.read_block(2)
+            assert lanes.items() == payload
+            assert (bits, seal) == (128, None)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.basic_dict import BasicDictionary
 from repro.core.facade import ParallelDiskDictionary
+from repro.fs.blockfile import ItemLanes
 from repro.faults import FaultPlan
 from repro.kernels import resolve_kernel
 from repro.pdm import (
@@ -28,6 +29,7 @@ from repro.pdm import (
     attach_faults,
     create_executor,
 )
+from repro.pdm.block import FrameBlock
 from repro.pdm.errors import IOFault
 from repro.pdm.trace import attach
 
@@ -183,13 +185,13 @@ def test_removed_backends_are_rejected(tmp_path):
 def test_file_backed_batch_lookups_match_simulated_twin(tmp_path):
     """A long run of kernel batch lookups on the file executor.
 
-    Every file-backed read decodes fresh blocks, so every batch builds
-    the key column of every block it reads — about 700 per batch in
-    this geometry.  Across 256 batches that is well past the 2 x 65,536
-    rows at which a shared per-dictionary column store used to reset in
-    the middle of a batch and raise ``IndexError``.  The run must raise
-    nothing and match its simulated twin answer for answer and charge
-    for charge.
+    Every file-backed read returns fresh blocks, so every batch matches
+    against the key column of every block it reads — about 700 per
+    batch in this geometry, each taken from its columnar frame.  Across
+    256 batches that is well past the 2 x 65,536 rows at which a shared
+    per-dictionary column store used to reset in the middle of a batch
+    and raise ``IndexError``.  The run must raise nothing and match its
+    simulated twin answer for answer and charge for charge.
     """
     universe = 1 << 20
     rng = random.Random(12)
@@ -230,6 +232,103 @@ def test_file_backed_batch_lookups_match_simulated_twin(tmp_path):
     finally:
         for machine, _ in twins:
             machine.close()
+
+
+class TestColumnarFrameBlocks:
+    """Integer bucket payloads reach the file executor's reads as columnar
+    frames: the block carries the frame's key lane as its key column and
+    decodes its items only when something reads them."""
+
+    UNIVERSE = 1 << 20
+
+    def _twins(self, tmp_path):
+        rng = random.Random(21)
+        items = {
+            k: rng.randrange(1 << 64)
+            for k in rng.sample(range(self.UNIVERSE), 600)
+        }
+        twins = []
+        for executor in (
+            None, create_executor("file", directory=str(tmp_path / "f"))
+        ):
+            machine = ParallelDiskMachine(8, 16, executor=executor)
+            d = BasicDictionary(
+                machine, universe_size=self.UNIVERSE, capacity=1200,
+                degree=8, seed=3,
+            )
+            d.bulk_build(items)
+            twins.append((machine, d))
+        return twins, items
+
+    def _bucket_addrs(self, d):
+        return [
+            addr
+            for stripe in range(d.buckets.stripes)
+            for index in range(d.buckets.stripe_size)
+            for addr in d.buckets.block_addrs([(stripe, index)])
+        ]
+
+    def test_key_column_is_store_column_of_payload(self, tmp_path):
+        twins, _ = self._twins(tmp_path)
+        try:
+            (sim, d), (filed, _) = twins
+            addrs = self._bucket_addrs(d)
+            expected = sim.read_blocks(addrs)
+            got = filed.read_blocks(addrs)
+            kernel = resolve_kernel(None)
+            width = filed.block_items
+            framed = 0
+            for addr in addrs:
+                blk = got[addr]
+                column = blk.key_column
+                if isinstance(blk, FrameBlock):
+                    framed += 1
+                    assert column == kernel.store_column(blk.payload, width)
+                else:  # an empty bucket: a never-written or pickled frame
+                    assert not blk.payload
+                payload = expected[addr].payload
+                assert blk.payload == payload
+                assert [type(x) for it in blk.payload or () for x in it] == [
+                    type(x) for it in payload or () for x in it
+                ]
+            assert framed > len(addrs) // 2
+            assert sim.stats.snapshot() == filed.stats.snapshot()
+        finally:
+            for machine, _ in twins:
+                machine.close()
+
+    def test_lookup_decodes_only_blocks_holding_the_key(
+        self, tmp_path, monkeypatch
+    ):
+        twins, items = self._twins(tmp_path)
+        decoded = []
+        real_items = ItemLanes.items
+
+        def counting_items(lanes):
+            decoded.append(lanes)
+            return real_items(lanes)
+
+        monkeypatch.setattr(ItemLanes, "items", counting_items)
+        try:
+            (sim, d_sim), (filed, d_file) = twins
+            keys = sorted(items)[:40] + [k + 1 for k in sorted(items)[:40]]
+            for key in keys:
+                a, b = d_sim.lookup(key), d_file.lookup(key)
+                assert (a.found, a.value, a.cost) == (b.found, b.value, b.cost)
+            assert decoded == []  # hits read single slots, misses nothing
+            answers = []
+            for d in (d_sim, d_file):
+                outcomes, cost = d.batch_lookup(keys)
+                answers.append(
+                    ({k: r.value for k, r in outcomes.items()}, cost)
+                )
+            assert decoded == []
+            assert answers[0] == answers[1]
+            assert answers[1][0] == {k: items.get(k) for k in keys}
+            assert sim.stats.snapshot() == filed.stats.snapshot()
+        finally:
+            for machine, _ in twins:
+                machine.close()
 
 
 class TestFileExecutorThreadingSmoke:

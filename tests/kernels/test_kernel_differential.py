@@ -323,3 +323,86 @@ def test_column_search_skips_unaligned_matches(kernel):
     blk.key_column = kernel.store_column(blk.payload, 4)
     assert _block_fragments([blk], straddle) == []
     assert _block_fragments([blk], b) == [(0, "y")]
+
+
+# -- columnar frames: file-backed blocks vs in-memory ones ---------------------
+
+#: replay options for the columnar-frame comparison: sealed blocks verified
+#: on every read, a buffer pool, and buckets narrower than a block (the
+#: frame's key lane is padded to the block width, so it cannot serve them)
+COLUMNAR_CASES = {
+    "plain": {},
+    "checksums": {"checksums": True},
+    "pool": {"cache_blocks": POOL_BLOCKS},
+    "narrow-buckets": {"bucket_capacity": B // 2},
+}
+
+
+def _columnar_replay(
+    kernel, directory, *, checksums=False, cache_blocks=None,
+    bucket_capacity=None, batched=True,
+):
+    """Integer-valued buckets (written as columnar frames on the file
+    executor): three passes of lookups around a mutation — each pass a
+    batch lookup (``batched``) and single-key lookups — returning every
+    observable."""
+    executor = (
+        None if directory is None
+        else create_executor("file", directory=str(directory))
+    )
+    machine = ParallelDiskMachine(
+        D, B, cache_blocks=cache_blocks, executor=executor
+    )
+    machine.checksums = checksums
+    d = BasicDictionary(
+        machine, universe_size=U, capacity=CAPACITY, degree=D, seed=11,
+        bucket_capacity=bucket_capacity, kernel=_spec(kernel),
+    )
+    items = {
+        (13 + 101 * i) % U: (i * 0x9E3779B97F4A7C15) % (1 << 64)
+        for i in range(N_ITEMS)
+    }
+    for k, v in sorted(items.items()):
+        d.upsert(k, v)
+    probes = _probes(items)
+    observed = []
+    for i in range(3):
+        if batched:
+            outcomes, cost = d.batch_lookup(probes)
+            observed.append(_outcome_fingerprint(outcomes))
+            observed.append((cost.read_ios, cost.write_ios))
+        observed.append(_lookup_fingerprint(d, probes[::3]))
+        if i == 0:
+            victims = sorted(items)[:10]
+            for k in victims:
+                d.delete(k)
+            for k in victims[:5]:
+                d.upsert(k, k + 1)
+    observed.append(_stats_fingerprint(machine))
+    if machine.cache is not None:
+        observed.append(machine.cache.stats.as_dict())
+        observed.append(machine.cache.cached_addresses())
+    machine.close()
+    return observed
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_columnar_frames_match_simulated(kernel, case, tmp_path):
+    """File-backed blocks carry their frame's key column and decode
+    lazily; answers, charged rounds and ``CacheStats`` must not notice."""
+    options = COLUMNAR_CASES[case]
+    on_file = _columnar_replay(kernel, tmp_path / "file", **options)
+    assert on_file == _columnar_replay(kernel, None, **options)
+    assert on_file == _columnar_replay("off", None, **options)
+
+
+@pytest.mark.parametrize("case", sorted(COLUMNAR_CASES))
+def test_columnar_single_lookups_match_simulated(case, tmp_path):
+    """Single-key lookups only: the file executor's blocks are searched
+    through their frame-borne columns, the simulated twin's (never
+    batch-read, so without columns) by scanning payloads."""
+    options = dict(COLUMNAR_CASES[case], batched=False)
+    assert _columnar_replay(
+        "numpy", tmp_path / "file", **options
+    ) == _columnar_replay("numpy", None, **options)
